@@ -24,20 +24,6 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-Status WriteAllBytes(int fd, const uint8_t* data, size_t size) {
-  while (size > 0) {
-    const ssize_t w = ::send(fd, data, size, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(Errno("send failed"));
-    }
-    if (w == 0) return Status::Internal("send wrote zero bytes");
-    data += w;
-    size -= static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 using Deadline = std::chrono::steady_clock::time_point;
 
 /// Reads exactly `size` bytes. `at_frame_start` selects the status for a

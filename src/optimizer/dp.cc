@@ -1,17 +1,15 @@
 // Copyright 2026 mpqopt authors.
+//
+// The three memo policies behind RunPartitionDp; the enumeration itself
+// is the shared skeleton of optimizer/dp_skeleton.h.
 
 #include "optimizer/dp.h"
 
-#include <chrono>
-#include <cstring>
 #include <limits>
-#include <type_traits>
 
-#include "common/arena.h"
-#include "cost/cardinality.h"
-#include "optimizer/io_dp.h"
+#include "optimizer/dp_skeleton.h"
+#include "optimizer/orders.h"
 #include "optimizer/pruning.h"
-#include "partition/partition_index.h"
 
 namespace mpqopt {
 namespace {
@@ -20,266 +18,210 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Memo entry of the single-objective DP: the best plan for one admissible
 /// table set, O(1) space (Theorem 4) — children are recovered through
-/// left_bits at reconstruction time.
+/// left_bits at reconstruction time. The entry is its own (only) plan.
 struct ScalarEntry {
   double cost = kInf;
   double card = 0;
   uint64_t left_bits = 0;
   JoinAlgorithm alg = JoinAlgorithm::kScan;
 };
+static_assert(sizeof(ScalarEntry) == 32);
 
-/// One plan of a Pareto frontier in the multi-objective DP. left_idx and
-/// right_idx select the operand plans within the children's frontiers.
-struct ParetoPlanRef {
-  CostVector cost;
+/// kTime: keep the single cheapest plan per table set.
+class ScalarPolicy {
+ public:
+  using Entry = ScalarEntry;
+
+  ScalarPolicy(const Query&, const DpConfig& config)
+      : model_(config.objective, config.cost_options) {}
+
+  Entry ScanEntry(int, double card) const {
+    return {model_.ScanCost(card).time(), card, 0, JoinAlgorithm::kScan};
+  }
+  Entry Begin(TableSet, double card) const { return {kInf, card}; }
+  void Combine(TableSet left, TableSet, const Entry& le, const Entry& re,
+               Entry* best, int64_t* plans_costed) const {
+    MPQOPT_DCHECK(le.cost < kInf && re.cost < kInf);
+    const double base = le.cost + re.cost;
+    for (JoinAlgorithm alg : kJoinAlgorithms) {
+      const double cost =
+          base + model_.LocalJoinTime(alg, le.card, re.card, best->card);
+      ++*plans_costed;
+      if (cost < best->cost) {
+        best->cost = cost;
+        best->left_bits = left.bits();
+        best->alg = alg;
+      }
+    }
+  }
+  void Finish(Entry* best) const {
+    MPQOPT_CHECK(best->cost < kInf);  // every admissible set has a split
+  }
+
+  static const Entry& PlanAt(const Entry& e, uint32_t) { return e; }
+  double NodeCard(const Entry& e) const { return e.card; }
+  CostVector NodeCost(const Entry& p) const {
+    return CostVector::Scalar(p.cost);
+  }
+  std::vector<uint32_t> Answer(const Entry&) const { return {0}; }
+
+ private:
+  const CostModel model_;
+};
+
+/// kTimeAndBuffer: keep an alpha-approximate Pareto frontier per set.
+class ParetoPolicy : public FrontierMemo<double, PlanRef<CostVector>> {
+ public:
+  ParetoPolicy(const Query&, const DpConfig& config)
+      : model_(config.objective, config.cost_options), alpha_(config.alpha) {}
+
+  Entry ScanEntry(int, double card) {
+    return Scans(card, {{model_.ScanCost(card)}});
+  }
+  void Combine(TableSet left, TableSet, const Entry& le, const Entry& re,
+               Entry* entry, int64_t* plans_costed) {
+    const auto cost_of = [](const Plan& p) -> const CostVector& {
+      return p.cost;
+    };
+    for (uint32_t li = 0; li < le.num_plans; ++li) {
+      for (uint32_t ri = 0; ri < re.num_plans; ++ri) {
+        for (JoinAlgorithm alg : kJoinAlgorithms) {
+          ++*plans_costed;
+          const Plan cand = {
+              model_.JoinCost(alg, le.plans[li].cost, re.plans[ri].cost,
+                              le.card, re.card, entry->card),
+              left.bits(), li, ri, alg};
+          ParetoInsert(&scratch_, cand, cost_of, alpha_);
+        }
+      }
+    }
+  }
+  CostVector NodeCost(const Plan& p) const { return p.cost; }
+
+ private:
+  const CostModel model_;
+  const double alpha_;
+};
+
+/// One kept plan of a (table set, order class) memo slot.
+struct IoPlan {
+  double cost = kInf;
   uint64_t left_bits = 0;
   uint32_t left_idx = 0;
   uint32_t right_idx = 0;
+  /// Order class of the output (kNoOrder if unordered).
+  int16_t order = kNoOrder;
   JoinAlgorithm alg = JoinAlgorithm::kScan;
 };
 
-/// Memo entry of the multi-objective DP: the alpha-approximate Pareto set
-/// of plans for one admissible table set. The frontier is a finished,
-/// immutable arena-allocated array — frontiers are built once in a shared
-/// scratch vector and flushed here, so the memo does one bump allocation
-/// per admissible set instead of one heap vector per set (the hottest
-/// allocation of the multi-objective DP).
-struct ParetoEntry {
-  double card = 0;
-  const ParetoPlanRef* plans = nullptr;
-  uint32_t num_plans = 0;
+/// Order-aware pruning relation: plan `a` covers plan `b` iff it is at
+/// most as expensive AND provides at least b's order (any order subsumes
+/// "no order"). A candidate that an incumbent covers is useless; keeping
+/// it evicts the incumbents it covers.
+constexpr auto kCovers = [](const IoPlan& a, const IoPlan& b) {
+  return a.cost <= b.cost && (b.order == kNoOrder || a.order == b.order);
 };
 
-class ScalarDp {
+/// Interesting orders (paper Section 5.4 extension; see orders.h): keep
+/// the best plan per (table set, order class) so that sort-merge joins
+/// can exploit orders produced upstream. An SMJ whose input is already
+/// sorted in the join's attribute class skips that input's sort term, and
+/// its output is sorted in that class; block nested loop preserves the
+/// outer order; hash joins destroy order; scans come in heap (unordered)
+/// and sorted variants. The partitioning is orthogonal to the order
+/// dimension: the same constraints restrict the same table sets.
+class InterestingOrderPolicy : public FrontierMemo<double, IoPlan> {
  public:
-  ScalarDp(const Query& query, const PartitionIndex& index,
-           const CostModel& model)
-      : query_(query), index_(index), model_(model), estimator_(query) {}
-
-  void Run(DpStats* stats) {
-    const int n = query_.num_tables();
-    memo_.assign(static_cast<size_t>(index_.size()), ScalarEntry());
-    // Initialize admissible singletons with scan plans (inadmissible
-    // singletons are provably never used as operands).
-    for (int t = 0; t < n; ++t) {
-      scan_card_[t] = query_.table(t).cardinality;
-      scan_cost_[t] = model_.ScanCost(scan_card_[t]).time();
-      const int64_t r = index_.Rank(TableSet::Single(t));
-      if (r >= 0) {
-        memo_[static_cast<size_t>(r)] = {scan_cost_[t], scan_card_[t], 0,
-                                         JoinAlgorithm::kScan};
-      }
-    }
-    const bool linear = index_.space() == PlanSpace::kLinear;
-    for (int k = 2; k <= n; ++k) {
-      index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-        const double out_card = estimator_.Cardinality(u);
-        ScalarEntry best;
-        best.card = out_card;
-        if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            const int64_t lrank = index_.RankWithout(u, rank, t);
-            const ScalarEntry& le = memo_[static_cast<size_t>(lrank)];
-            MPQOPT_DCHECK(le.cost < kInf);
-            ++stats->splits_tried;
-            const double base = le.cost + scan_cost_[t];
-            for (JoinAlgorithm alg : kJoinAlgorithms) {
-              const double cost =
-                  base +
-                  model_.LocalJoinTime(alg, le.card, scan_card_[t], out_card);
-              ++stats->plans_costed;
-              if (cost < best.cost) {
-                best.cost = cost;
-                best.left_bits = u.Without(t).bits();
-                best.alg = alg;
-              }
-            }
-          }
-        } else {
-          index_.ForEachSplit(u, [&](TableSet left, int64_t lrank,
-                                     int64_t rrank) {
-            const ScalarEntry& le = memo_[static_cast<size_t>(lrank)];
-            const ScalarEntry& re = memo_[static_cast<size_t>(rrank)];
-            MPQOPT_DCHECK(le.cost < kInf && re.cost < kInf);
-            ++stats->splits_tried;
-            const double base = le.cost + re.cost;
-            for (JoinAlgorithm alg : kJoinAlgorithms) {
-              const double cost =
-                  base + model_.LocalJoinTime(alg, le.card, re.card, out_card);
-              ++stats->plans_costed;
-              if (cost < best.cost) {
-                best.cost = cost;
-                best.left_bits = left.bits();
-                best.alg = alg;
-              }
-            }
-          });
-        }
-        MPQOPT_CHECK(best.cost < kInf);  // every admissible set has a split
-        memo_[static_cast<size_t>(rank)] = best;
-      });
-    }
-  }
-
-  /// Materializes the best plan for `s` into `arena`.
-  PlanId Build(TableSet s, PlanArena* arena) const {
-    if (s.Count() == 1) {
-      const int t = s.Lowest();
-      return arena->MakeScan(t, scan_card_[t],
-                             model_.ScanCost(scan_card_[t]));
-    }
-    const int64_t rank = index_.Rank(s);
-    MPQOPT_CHECK_GE(rank, 0);
-    const ScalarEntry& e = memo_[static_cast<size_t>(rank)];
-    const TableSet left(e.left_bits);
-    const TableSet right = s.Minus(left);
-    const PlanId lid = Build(left, arena);
-    const PlanId rid = Build(right, arena);
-    return arena->MakeJoin(e.alg, lid, rid, e.card,
-                           CostVector::Scalar(e.cost));
-  }
-
- private:
-  const Query& query_;
-  const PartitionIndex& index_;
-  const CostModel& model_;
-  CardinalityEstimator estimator_;
-  std::vector<ScalarEntry> memo_;
-  double scan_card_[kMaxTables] = {};
-  double scan_cost_[kMaxTables] = {};
-};
-
-class ParetoDp {
- public:
-  ParetoDp(const Query& query, const PartitionIndex& index,
-           const CostModel& model, double alpha)
+  InterestingOrderPolicy(const Query& query, const DpConfig& config)
       : query_(query),
-        index_(index),
-        model_(model),
-        alpha_(alpha),
-        estimator_(query) {}
+        model_(config.objective, config.cost_options),
+        orders_(query) {}
 
-  void Run(DpStats* stats) {
-    const int n = query_.num_tables();
-    memo_.assign(static_cast<size_t>(index_.size()), ParetoEntry());
-    for (int t = 0; t < n; ++t) {
-      scan_card_[t] = query_.table(t).cardinality;
-      scan_cost_[t] = model_.ScanCost(scan_card_[t]);
-      const int64_t r = index_.Rank(TableSet::Single(t));
-      if (r >= 0) {
-        ParetoEntry& e = memo_[static_cast<size_t>(r)];
-        e.card = scan_card_[t];
-        scratch_.assign(1, {scan_cost_[t], 0, 0, 0, JoinAlgorithm::kScan});
-        FlushScratch(&e);
+  Entry ScanEntry(int t, double card) {
+    // Heap scan: unordered; plus one order-producing scan per distinct
+    // attribute class.
+    std::vector<IoPlan> scans = {{model_.ScanCost(card).time()}};
+    const int num_attrs =
+        static_cast<int>(query_.table(t).attribute_domains.size());
+    for (int a = 0; a < num_attrs; ++a) {
+      const auto order = static_cast<int16_t>(orders_.ClassOf(t, a));
+      DominanceInsert(&scans, {model_.SortedScanTime(card), 0, 0, 0, order},
+                      kCovers, kCovers);
+    }
+    return Scans(card, std::move(scans));
+  }
+  void Combine(TableSet left, TableSet right, const Entry& le,
+               const Entry& re, Entry* entry, int64_t* plans_costed) {
+    const std::vector<int> merge_classes =
+        orders_.MergeClassesForCut(left, right);
+    for (uint32_t li = 0; li < le.num_plans; ++li) {
+      for (uint32_t ri = 0; ri < re.num_plans; ++ri) {
+        const IoPlan& lp = le.plans[li];
+        const IoPlan& rp = re.plans[ri];
+        const double base = lp.cost + rp.cost;
+        const auto offer = [&](JoinAlgorithm alg, double cost, int order) {
+          ++*plans_costed;
+          DominanceInsert(&scratch_,
+                          {cost, left.bits(), li, ri,
+                           static_cast<int16_t>(order), alg},
+                          kCovers, kCovers);
+        };
+        // Block nested loop: preserves the outer (left) order.
+        offer(JoinAlgorithm::kBlockNestedLoop,
+              base + model_.LocalJoinTime(JoinAlgorithm::kBlockNestedLoop,
+                                          le.card, re.card, entry->card),
+              lp.order);
+        // Hash join: destroys order.
+        offer(JoinAlgorithm::kHashJoin,
+              base + model_.LocalJoinTime(JoinAlgorithm::kHashJoin, le.card,
+                                          re.card, entry->card),
+              kNoOrder);
+        // Sort-merge join: one variant per equality class crossing the
+        // cut; inputs already sorted in that class skip their sort.
+        for (int cls : merge_classes) {
+          double cost =
+              base + model_.MergePhaseTime(le.card, re.card, entry->card);
+          if (lp.order != cls) cost += model_.SortTime(le.card);
+          if (rp.order != cls) cost += model_.SortTime(re.card);
+          offer(JoinAlgorithm::kSortMergeJoin, cost, cls);
+        }
       }
     }
-    const auto cost_of = [](const ParetoPlanRef& p) -> const CostVector& {
-      return p.cost;
-    };
-    const bool linear = index_.space() == PlanSpace::kLinear;
-    for (int k = 2; k <= n; ++k) {
-      index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-        ParetoEntry entry;
-        entry.card = estimator_.Cardinality(u);
-        scratch_.clear();
-        const auto try_split = [&](TableSet left, const ParetoEntry& le,
-                                   const ParetoEntry& re) {
-          ++stats->splits_tried;
-          for (uint32_t li = 0; li < le.num_plans; ++li) {
-            for (uint32_t ri = 0; ri < re.num_plans; ++ri) {
-              for (JoinAlgorithm alg : kJoinAlgorithms) {
-                ++stats->plans_costed;
-                ParetoPlanRef cand;
-                cand.cost = model_.JoinCost(alg, le.plans[li].cost,
-                                            re.plans[ri].cost, le.card,
-                                            re.card, entry.card);
-                cand.left_bits = left.bits();
-                cand.left_idx = li;
-                cand.right_idx = ri;
-                cand.alg = alg;
-                ParetoInsert(&scratch_, cand, cost_of, alpha_);
-              }
-            }
-          }
-        };
-        if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            const int64_t lrank = index_.RankWithout(u, rank, t);
-            const ParetoPlanRef scan_plan = {scan_cost_[t], 0, 0, 0,
-                                             JoinAlgorithm::kScan};
-            ParetoEntry scan;
-            scan.card = scan_card_[t];
-            scan.plans = &scan_plan;
-            scan.num_plans = 1;
-            try_split(u.Without(t), memo_[static_cast<size_t>(lrank)], scan);
-          }
-        } else {
-          index_.ForEachSplit(
-              u, [&](TableSet left, int64_t lrank, int64_t rrank) {
-                try_split(left, memo_[static_cast<size_t>(lrank)],
-                          memo_[static_cast<size_t>(rrank)]);
-              });
-        }
-        MPQOPT_CHECK(!scratch_.empty());
-        FlushScratch(&entry);
-        memo_[static_cast<size_t>(rank)] = entry;
-      });
-    }
   }
-
-  /// Number of Pareto plans stored for table set `s`.
-  size_t FrontierSize(TableSet s) const {
-    const int64_t rank = index_.Rank(s);
-    MPQOPT_CHECK_GE(rank, 0);
-    return memo_[static_cast<size_t>(rank)].num_plans;
+  CostVector NodeCost(const IoPlan& p) const {
+    return CostVector::Scalar(p.cost);
   }
-
-  /// Materializes plan `idx` of the frontier of `s` into `arena`.
-  PlanId Build(TableSet s, uint32_t idx, PlanArena* arena) const {
-    if (s.Count() == 1) {
-      const int t = s.Lowest();
-      return arena->MakeScan(t, scan_card_[t], scan_cost_[t]);
+  /// The cheapest plan of the full query, whatever its order.
+  std::vector<uint32_t> Answer(const Entry& e) const {
+    uint32_t best = 0;
+    for (uint32_t i = 1; i < e.num_plans; ++i) {
+      if (e.plans[i].cost < e.plans[best].cost) best = i;
     }
-    const int64_t rank = index_.Rank(s);
-    MPQOPT_CHECK_GE(rank, 0);
-    const ParetoEntry& e = memo_[static_cast<size_t>(rank)];
-    const ParetoPlanRef& p = e.plans[idx];
-    const TableSet left(p.left_bits);
-    const TableSet right = s.Minus(left);
-    const PlanId lid = Build(left, p.left_idx, arena);
-    const PlanId rid = Build(right, p.right_idx, arena);
-    return arena->MakeJoin(p.alg, lid, rid, e.card, p.cost);
+    return {best};
   }
 
  private:
-  /// Moves the scratch frontier into an immutable arena array in `entry`.
-  void FlushScratch(ParetoEntry* entry) {
-    static_assert(std::is_trivially_copyable_v<ParetoPlanRef>);
-    ParetoPlanRef* plans =
-        frontier_arena_.AllocateArray<ParetoPlanRef>(scratch_.size());
-    if (!scratch_.empty()) {
-      std::memcpy(plans, scratch_.data(),
-                  scratch_.size() * sizeof(ParetoPlanRef));
-    }
-    entry->plans = plans;
-    entry->num_plans = static_cast<uint32_t>(scratch_.size());
-  }
-
   const Query& query_;
-  const PartitionIndex& index_;
-  const CostModel& model_;
-  double alpha_;
-  CardinalityEstimator estimator_;
-  std::vector<ParetoEntry> memo_;
-  /// Bump storage for finished frontiers; scratch_ is the one mutable
-  /// frontier under construction, reused across admissible sets.
-  Arena frontier_arena_;
-  std::vector<ParetoPlanRef> scratch_;
-  double scan_card_[kMaxTables] = {};
-  CostVector scan_cost_[kMaxTables];
+  const CostModel model_;
+  const OrderClasses orders_;
 };
+
+/// Runs Policy's DP and materializes the plans its Answer picks.
+template <class Policy>
+StatusOr<DpResult> RunWith(const Query& query,
+                           const ConstraintSet& constraints,
+                           const DpConfig& config) {
+  DpResult result;
+  const Status status = RunDp<Policy>(
+      query, constraints, config, &result.stats,
+      [&](const DpSkeleton<Policy>& dp, TableSet all) {
+        for (uint32_t i : dp.policy().Answer(dp.EntryOf(all))) {
+          result.best.push_back(dp.Build(all, i, &result.arena));
+        }
+      });
+  if (!status.ok()) return status;
+  return result;
+}
 
 }  // namespace
 
@@ -287,48 +229,20 @@ StatusOr<DpResult> RunPartitionDp(const Query& query,
                                   const ConstraintSet& constraints,
                                   const DpConfig& config) {
   if (config.interesting_orders) {
-    return RunPartitionDpInterestingOrders(query, constraints, config);
+    if (config.objective != Objective::kTime) {
+      return Status::Unimplemented(
+          "interesting orders are supported for single-objective "
+          "optimization only");
+    }
+    return RunWith<InterestingOrderPolicy>(query, constraints, config);
   }
-  Status valid = query.Validate();
-  if (!valid.ok()) return valid;
-  if (constraints.space() != config.space) {
-    return Status::InvalidArgument("constraint set is for the other space");
+  if (config.objective == Objective::kTime) {
+    return RunWith<ScalarPolicy>(query, constraints, config);
   }
-  if (config.objective == Objective::kTimeAndBuffer && config.alpha < 1.0) {
+  if (config.alpha < 1.0) {
     return Status::InvalidArgument("alpha must be >= 1");
   }
-
-  const PartitionIndex index(query.num_tables(), constraints);
-  if (index.size() > config.max_memo_entries) {
-    return Status::OutOfRange(
-        "plan space partition too large; increase the number of workers");
-  }
-
-  const CostModel model(config.objective, config.cost_options);
-  DpResult result;
-  result.stats.admissible_sets = index.size();
-
-  const TableSet all = query.all_tables();
-  const auto start = std::chrono::steady_clock::now();
-  if (query.num_tables() == 1) {
-    const double card = query.table(0).cardinality;
-    result.best.push_back(result.arena.MakeScan(0, card, model.ScanCost(card)));
-  } else if (config.objective == Objective::kTime) {
-    ScalarDp dp(query, index, model);
-    dp.Run(&result.stats);
-    result.best.push_back(dp.Build(all, &result.arena));
-  } else {
-    ParetoDp dp(query, index, model, config.alpha);
-    dp.Run(&result.stats);
-    const size_t frontier = dp.FrontierSize(all);
-    for (uint32_t i = 0; i < frontier; ++i) {
-      result.best.push_back(dp.Build(all, i, &result.arena));
-    }
-  }
-  const auto end = std::chrono::steady_clock::now();
-  result.stats.seconds =
-      std::chrono::duration<double>(end - start).count();
-  return result;
+  return RunWith<ParetoPolicy>(query, constraints, config);
 }
 
 StatusOr<DpResult> OptimizeSerial(const Query& query, const DpConfig& config) {

@@ -7,10 +7,14 @@
 // Vance/Maier-style for bushy spaces with Cartesian products), which is
 // exactly the paper's m = 1 baseline.
 //
-// Two objective modes share the enumeration skeleton and differ only in
-// the pruning function and memo entry layout:
+// Four DP variants share one enumeration skeleton (optimizer/
+// dp_skeleton.h) and differ only in their memo policy: the entry layout,
+// the pruning function, and how a kept plan becomes a PlanNode.
 //  * kTime: one best plan per admissible table set (32-byte memo entry).
 //  * kTimeAndBuffer: an alpha-approximate Pareto set per table set.
+//  * interesting_orders: the best plan per (table set, order class).
+//  * PQO (optimizer/pqo.h): the lower envelope of affine cost lines.
+// The first three policies live in dp.cc, the PQO policy in pqo.cc.
 
 #ifndef MPQOPT_OPTIMIZER_DP_H_
 #define MPQOPT_OPTIMIZER_DP_H_
@@ -60,7 +64,10 @@ struct DpStats {
 
 /// Output of one DP run: the partition-optimal plan(s) materialized in a
 /// private arena. `best` has exactly one element in kTime mode and the
-/// partition's Pareto frontier in kTimeAndBuffer mode.
+/// partition's Pareto frontier in kTimeAndBuffer mode. Interesting-order
+/// plans carry their true charged costs, which the order-blind CostModel
+/// cannot recompute: validate them with
+/// PlanValidationOptions::check_costs = false.
 struct DpResult {
   PlanArena arena;
   std::vector<PlanId> best;

@@ -3,12 +3,8 @@
 #include "optimizer/pqo.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
 
-#include "cost/cardinality.h"
-#include "partition/partition_index.h"
+#include "optimizer/dp_skeleton.h"
 
 namespace mpqopt {
 namespace {
@@ -53,19 +49,7 @@ size_t ArgMinAt(const std::vector<AffineCost>& lines, double theta) {
   return best;
 }
 
-/// One kept plan of a parametric memo slot.
-struct PqoRef {
-  AffineCost cost;
-  uint64_t left_bits = 0;
-  uint32_t left_idx = 0;
-  uint32_t right_idx = 0;
-  JoinAlgorithm alg = JoinAlgorithm::kScan;
-};
-
-struct PqoEntry {
-  AffineCost card;
-  std::vector<PqoRef> plans;
-};
+using PqoRef = PlanRef<AffineCost>;
 
 /// Drops plans that are nowhere minimal over [0, 1].
 void EnvelopePrune(std::vector<PqoRef>* plans) {
@@ -80,153 +64,77 @@ void EnvelopePrune(std::vector<PqoRef>* plans) {
   plans->swap(pruned);
 }
 
-class ParametricDp {
+/// PQO's memo policy for the DP skeleton (optimizer/dp_skeleton.h):
+/// affine cardinalities and costs, lower-envelope pruning.
+class ParametricPolicy : public FrontierMemo<AffineCost, PqoRef> {
  public:
-  ParametricDp(const Query& query, const PartitionIndex& index,
-               const PqoConfig& config)
-      : query_(query),
-        index_(index),
-        config_(config),
-        model_(Objective::kTime, config.cost_options),
-        estimator_(query) {}
+  ParametricPolicy(const Query& query, const PqoConfig& config)
+      : query_(query), config_(config) {}
 
-  void Run(PqoResult* result) {
-    const int n = query_.num_tables();
-    memo_.assign(static_cast<size_t>(index_.size()), PqoEntry());
-    scan_entries_.resize(n);
-    for (int t = 0; t < n; ++t) {
-      PqoEntry& e = scan_entries_[t];
-      e.card = TableCard(t);
-      e.plans.push_back({e.card, 0, 0, 0, JoinAlgorithm::kScan});
-      const int64_t rank = index_.Rank(TableSet::Single(t));
-      if (rank >= 0) memo_[static_cast<size_t>(rank)] = e;
-    }
-    const bool linear = index_.space() == PlanSpace::kLinear;
-    for (int k = 2; k <= n; ++k) {
-      index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-        PqoEntry entry;
-        entry.card = SetCard(u);
-        if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            const int64_t lrank = index_.RankWithout(u, rank, t);
-            TrySplit(memo_[static_cast<size_t>(lrank)], scan_entries_[t],
-                     u.Without(t), &entry, result);
-          }
-        } else {
-          index_.ForEachSplit(
-              u, [&](TableSet left, int64_t lrank, int64_t rrank) {
-                TrySplit(memo_[static_cast<size_t>(lrank)],
-                         memo_[static_cast<size_t>(rrank)], left, &entry,
-                         result);
-              });
-        }
-        EnvelopePrune(&entry.plans);
-        MPQOPT_CHECK(!entry.plans.empty());
-        memo_[static_cast<size_t>(rank)] = std::move(entry);
-      });
-    }
+  Entry ScanEntry(int t, double base) {
+    AffineCost card = AffineCost::Constant(base);
+    if (t == config_.parametric_table) card.slope = base * config_.variability;
+    return Scans(card, {{card}});
   }
 
-  const std::vector<PqoRef>& PlansOf(TableSet s) const {
-    return EntryOf(s).plans;
-  }
-
-  PlanId Build(TableSet s, uint32_t idx, PlanArena* arena) const {
-    const PqoEntry& e = EntryOf(s);
-    const PqoRef& p = e.plans[idx];
-    // PlanNode cost convention in PQO results: metric 0 = the affine
-    // constant, metric 1 = the slope; cardinality is taken at theta = 0.5.
-    const CostVector cost = CostVector::TimeBuffer(p.cost.constant,
-                                                   p.cost.slope);
-    if (s.Count() == 1) {
-      return arena->MakeScan(s.Lowest(), e.card.At(0.5), cost);
-    }
-    const TableSet left(p.left_bits);
-    const PlanId lid = Build(left, p.left_idx, arena);
-    const PlanId rid = Build(s.Minus(left), p.right_idx, arena);
-    return arena->MakeJoin(p.alg, lid, rid, e.card.At(0.5), cost);
-  }
-
- private:
-  const PqoEntry& EntryOf(TableSet s) const {
-    if (s.Count() == 1) return scan_entries_[s.Lowest()];
-    const int64_t rank = index_.Rank(s);
-    MPQOPT_CHECK_GE(rank, 0);
-    return memo_[static_cast<size_t>(rank)];
-  }
-
-  AffineCost TableCard(int t) const {
-    const double base = query_.table(t).cardinality;
-    if (t == config_.parametric_table) {
-      return {base, base * config_.variability};
-    }
-    return AffineCost::Constant(base);
-  }
-
-  /// Affine cardinality of a table set (no one-row clamping — clamping
-  /// would break affinity; parametric costs may therefore dip below one
-  /// row for extremely selective queries, which only shifts envelopes).
-  AffineCost SetCard(TableSet s) const {
-    // Selectivity-scaled product of base cardinalities via the regular
-    // estimator, with the parametric factor applied on top.
+  /// Affine cardinality of a table set. The constant is the regular
+  /// estimator's cardinality `est`, which is clamped to at least one
+  /// row; when the set contains the parametric table, the slope scales
+  /// that clamped value by the variability, so card(theta) >= 1 on all of
+  /// [0, 1] and stays affine. The constant is recomputed as
+  /// base * (est / base), with base the product of the tables'
+  /// cardinalities. The round trip changes only the last bits of
+  /// rounding; it is kept because those bits reach the returned plans'
+  /// costs and cardinalities.
+  Entry Begin(TableSet u, double est) {
     double base = 1.0;
-    for (int t : s) base *= query_.table(t).cardinality;
-    double sel = estimator_.Cardinality(s) / base;  // combined selectivity
-    // Recompute without the estimator's clamp where possible.
-    const double unclamped = base * sel;
-    AffineCost card = AffineCost::Constant(unclamped);
-    if (s.Contains(config_.parametric_table)) {
-      card.slope = unclamped * config_.variability;
+    for (int t : u) base *= query_.table(t).cardinality;
+    AffineCost card = AffineCost::Constant(base * (est / base));
+    if (u.Contains(config_.parametric_table)) {
+      card.slope = card.constant * config_.variability;
     }
-    return card;
+    return FrontierMemo::Begin(u, card);
   }
 
-  void TrySplit(const PqoEntry& le, const PqoEntry& re, TableSet left,
-                PqoEntry* entry, PqoResult* result) {
-    ++result->splits_tried;
+  void Combine(TableSet left, TableSet, const Entry& le, const Entry& re,
+               Entry* entry, int64_t* plans_costed) {
     const CostModelOptions& opts = config_.cost_options;
-    for (uint32_t li = 0; li < le.plans.size(); ++li) {
-      for (uint32_t ri = 0; ri < re.plans.size(); ++ri) {
+    const AffineCost out = entry->card.Scaled(opts.output_cost_factor);
+    for (uint32_t li = 0; li < le.num_plans; ++li) {
+      for (uint32_t ri = 0; ri < re.num_plans; ++ri) {
         const AffineCost base = le.plans[li].cost.Plus(re.plans[ri].cost);
-        const AffineCost out = entry->card.Scaled(opts.output_cost_factor);
         // Block nested loop (smooth block model: |L| + |L||R|/B + out).
-        {
-          PqoRef cand;
-          cand.cost = base.Plus(le.card)
-                          .Plus(AffineMul(le.card.Scaled(1.0 / opts.block_size),
-                                          re.card))
-                          .Plus(out);
-          cand.left_bits = left.bits();
-          cand.left_idx = li;
-          cand.right_idx = ri;
-          cand.alg = JoinAlgorithm::kBlockNestedLoop;
-          entry->plans.push_back(cand);
-        }
+        scratch_.push_back(
+            {base.Plus(le.card)
+                 .Plus(AffineMul(le.card.Scaled(1.0 / opts.block_size),
+                                 re.card))
+                 .Plus(out),
+             left.bits(), li, ri, JoinAlgorithm::kBlockNestedLoop});
         // Hash join: c_h * (|L| + |R|) + out.
-        {
-          PqoRef cand;
-          cand.cost =
-              base.Plus(le.card.Plus(re.card).Scaled(opts.hash_constant))
-                  .Plus(out);
-          cand.left_bits = left.bits();
-          cand.left_idx = li;
-          cand.right_idx = ri;
-          cand.alg = JoinAlgorithm::kHashJoin;
-          entry->plans.push_back(cand);
-        }
-        if (entry->plans.size() > 64) EnvelopePrune(&entry->plans);
+        scratch_.push_back(
+            {base.Plus(le.card.Plus(re.card).Scaled(opts.hash_constant))
+                 .Plus(out),
+             left.bits(), li, ri, JoinAlgorithm::kHashJoin});
+        *plans_costed += 2;
+        if (scratch_.size() > 64) EnvelopePrune(&scratch_);
       }
     }
   }
+  void Finish(Entry* entry) {
+    EnvelopePrune(&scratch_);
+    FrontierMemo::Finish(entry);
+  }
 
+  // PlanNode convention in PQO results: cost metric 0 = the affine
+  // constant, metric 1 = the slope; cardinality is taken at theta = 0.5.
+  double NodeCard(const Entry& e) const { return e.card.At(0.5); }
+  CostVector NodeCost(const PqoRef& p) const {
+    return CostVector::TimeBuffer(p.cost.constant, p.cost.slope);
+  }
+
+ private:
   const Query& query_;
-  const PartitionIndex& index_;
   const PqoConfig& config_;
-  CostModel model_;
-  CardinalityEstimator estimator_;
-  std::vector<PqoEntry> memo_;
-  std::vector<PqoEntry> scan_entries_;
 };
 
 /// Converts an envelope of (plan, line) pairs into interval-annotated
@@ -290,11 +198,6 @@ std::vector<size_t> LowerEnvelope(const std::vector<AffineCost>& lines) {
 StatusOr<PqoResult> RunParametricDp(const Query& query,
                                     const ConstraintSet& constraints,
                                     const PqoConfig& config) {
-  Status valid = query.Validate();
-  if (!valid.ok()) return valid;
-  if (constraints.space() != config.space) {
-    return Status::InvalidArgument("constraint set is for the other space");
-  }
   if (config.parametric_table < 0 ||
       config.parametric_table >= query.num_tables()) {
     return Status::InvalidArgument("parametric table out of range");
@@ -302,39 +205,27 @@ StatusOr<PqoResult> RunParametricDp(const Query& query,
   if (config.variability < 0) {
     return Status::InvalidArgument("variability must be non-negative");
   }
-  const PartitionIndex index(query.num_tables(), constraints);
-  if (index.size() > config.max_memo_entries) {
-    return Status::OutOfRange("plan space partition too large");
-  }
-
   PqoResult result;
-  result.admissible_sets = index.size();
-  const auto start = std::chrono::steady_clock::now();
-  ParametricDp dp(query, index, config);
-  if (query.num_tables() == 1) {
-    const double card = query.table(0).cardinality;
-    PqoPlan plan;
-    plan.plan = result.arena.MakeScan(
-        0, card, CostVector::TimeBuffer(card, 0));
-    plan.cost = {card, config.parametric_table == 0
-                           ? card * config.variability
-                           : 0};
-    plan.theta_begin = 0;
-    plan.theta_end = 1;
-    result.plans.push_back(plan);
-  } else {
-    dp.Run(&result);
-    const TableSet all = query.all_tables();
-    std::vector<PlanId> plans;
-    std::vector<AffineCost> lines;
-    for (uint32_t i = 0; i < dp.PlansOf(all).size(); ++i) {
-      plans.push_back(dp.Build(all, i, &result.arena));
-      lines.push_back(dp.PlansOf(all)[i].cost);
-    }
-    result.plans = IntervalsFromEnvelope(plans, lines);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(end - start).count();
+  const Status status = RunDp<ParametricPolicy>(
+      query, constraints, config, &result.stats,
+      [&](const DpSkeleton<ParametricPolicy>& dp, TableSet all) {
+        const ParametricPolicy::Entry& full = dp.EntryOf(all);
+        std::vector<PlanId> plans;
+        std::vector<AffineCost> lines;
+        for (uint32_t i = 0; i < full.num_plans; ++i) {
+          // A single-table query's plan node carries the base cardinality
+          // and a zero slope; its line still carries the true slope.
+          plans.push_back(
+              all.Count() == 1
+                  ? result.arena.MakeScan(
+                        0, full.card.constant,
+                        CostVector::TimeBuffer(full.card.constant, 0))
+                  : dp.Build(all, i, &result.arena));
+          lines.push_back(full.plans[i].cost);
+        }
+        result.plans = IntervalsFromEnvelope(plans, lines);
+      });
+  if (!status.ok()) return status;
   return result;
 }
 
@@ -354,10 +245,12 @@ StatusOr<PqoResult> ParallelParametricOptimize(const Query& query,
     StatusOr<PqoResult> result =
         RunParametricDp(query, constraints.value(), config);
     if (!result.ok()) return result.status();
-    merged.admissible_sets =
-        std::max(merged.admissible_sets, result.value().admissible_sets);
-    merged.splits_tried += result.value().splits_tried;
-    merged.seconds += result.value().seconds;
+    const DpStats& stats = result.value().stats;
+    merged.stats.admissible_sets =
+        std::max(merged.stats.admissible_sets, stats.admissible_sets);
+    merged.stats.splits_tried += stats.splits_tried;
+    merged.stats.plans_costed += stats.plans_costed;
+    merged.stats.seconds += stats.seconds;
     // Re-materialize the partition's envelope plans into the master arena
     // (mirrors the master-side deserialization of worker responses).
     for (const PqoPlan& plan : result.value().plans) {

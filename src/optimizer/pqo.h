@@ -1,7 +1,7 @@
 // Copyright 2026 mpqopt authors.
 //
-// Parametric query optimization (PQO) — the third member of the DP family
-// the paper's partitioning parallelizes "for free" (Sections 2 and 4:
+// Parametric query optimization (PQO) — a member of the DP family the
+// paper's partitioning parallelizes "for free" (Sections 2 and 4:
 // Ganguly VLDB'98, Ioannidis et al. VLDBJ'97, Hulgeri & Sudarshan
 // VLDB'03 all share the classical DP scheme; only the pruning function
 // differs).
@@ -28,6 +28,7 @@
 
 #include "catalog/query.h"
 #include "common/status.h"
+#include "optimizer/dp.h"
 #include "partition/constraints.h"
 #include "plan/plan.h"
 
@@ -81,15 +82,15 @@ struct PqoPlan {
 struct PqoResult {
   PlanArena arena;
   std::vector<PqoPlan> plans;
-  int64_t admissible_sets = 0;
-  int64_t splits_tried = 0;
-  double seconds = 0;
+  /// DP counters; ParallelParametricOptimize reports the largest
+  /// partition's admissible_sets and sums the rest over partitions.
+  DpStats stats;
 };
 
 /// Finds the parametric optimal plan set within one plan-space partition
-/// (use ConstraintSet::None for the serial optimizer). The partitioning
-/// machinery is shared with the other optimizer variants — the paper's
-/// genericity claim, instantiated a third time.
+/// (use ConstraintSet::None for the serial optimizer). It runs the same
+/// DP skeleton and partitioning as the other optimizer variants with an
+/// envelope-pruning memo policy — the paper's genericity claim.
 StatusOr<PqoResult> RunParametricDp(const Query& query,
                                     const ConstraintSet& constraints,
                                     const PqoConfig& config);

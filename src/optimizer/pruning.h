@@ -24,6 +24,28 @@
 
 namespace mpqopt {
 
+/// Inserts `item` into the plan set `set` unless some incumbent rejects
+/// it (rejects(incumbent, item)); on insertion, evicts every incumbent the
+/// item displaces (evicts(item, incumbent)). Returns true if the item was
+/// inserted. The shape every set-keeping pruning function shares.
+template <typename T, typename Rejects, typename Evicts>
+bool DominanceInsert(std::vector<T>* set, const T& item,
+                     const Rejects& rejects, const Evicts& evicts) {
+  for (const T& incumbent : *set) {
+    if (rejects(incumbent, item)) return false;
+  }
+  size_t w = 0;
+  for (size_t r = 0; r < set->size(); ++r) {
+    if (!evicts(item, (*set)[r])) {
+      if (w != r) (*set)[w] = (*set)[r];
+      ++w;
+    }
+  }
+  set->resize(w);
+  set->push_back(item);
+  return true;
+}
+
 /// Inserts `item` into the frontier `set` under approximate Pareto
 /// pruning. `cost_of` maps an item to its CostVector. Returns true if the
 /// item was inserted (and dominated incumbents evicted), false if an
@@ -32,21 +54,16 @@ template <typename T, typename CostFn>
 bool ParetoInsert(std::vector<T>* set, const T& item, const CostFn& cost_of,
                   double alpha) {
   const CostVector& cost = cost_of(item);
-  for (const T& incumbent : *set) {
-    if (cost_of(incumbent).AlphaDominates(cost, alpha)) return false;
-  }
-  // Evict incumbents the new plan weakly dominates (exact dominance, so
-  // the frontier's alpha-coverage guarantee is preserved).
-  size_t w = 0;
-  for (size_t r = 0; r < set->size(); ++r) {
-    if (!cost.WeaklyDominates(cost_of((*set)[r]))) {
-      if (w != r) (*set)[w] = (*set)[r];
-      ++w;
-    }
-  }
-  set->resize(w);
-  set->push_back(item);
-  return true;
+  return DominanceInsert(
+      set, item,
+      [&](const T& incumbent, const T&) {
+        return cost_of(incumbent).AlphaDominates(cost, alpha);
+      },
+      // Evict incumbents the new plan weakly dominates (exact dominance,
+      // so the frontier's alpha-coverage guarantee is preserved).
+      [&](const T&, const T& incumbent) {
+        return cost.WeaklyDominates(cost_of(incumbent));
+      });
 }
 
 /// True if every vector in `reference` is alpha-covered by some vector in

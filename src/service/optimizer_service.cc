@@ -169,7 +169,7 @@ StatusOr<MpqResult> OptimizerService::OptimizeTraced(
       return admitted.status();
     }
     obs::FlightRecorder::Global().Record(obs::FlightEventKind::kAdmit,
-                                         "tenant=%s %zut query",
+                                         "tenant=%s %dt query",
                                          ctx.tenant.c_str(),
                                          query.num_tables());
     ticket = std::move(admitted).value();

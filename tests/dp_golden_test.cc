@@ -61,8 +61,8 @@ void AppendPartition(Variant variant, const Query& q,
     SerializePlanSet(r.value().arena, ids, w);
     // plans_costed is not part of the PQO cell: it did not exist for PQO
     // when the corpus was captured.
-    w->WriteI64(r.value().admissible_sets);
-    w->WriteI64(r.value().splits_tried);
+    w->WriteI64(r.value().stats.admissible_sets);
+    w->WriteI64(r.value().stats.splits_tried);
     return;
   }
   DpConfig config;

@@ -179,7 +179,9 @@ TEST(IntegrationTest, TotalSplitsShrinkWithParallelism) {
     ASSERT_TRUE(result.ok());
     const int64_t per_worker =
         result.value().total_splits / static_cast<int64_t>(m);
-    if (prev_per_worker > 0) EXPECT_LT(per_worker, prev_per_worker);
+    if (prev_per_worker > 0) {
+      EXPECT_LT(per_worker, prev_per_worker);
+    }
     prev_per_worker = per_worker;
   }
 }

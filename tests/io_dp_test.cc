@@ -1,6 +1,6 @@
 // Copyright 2026 mpqopt authors.
 
-#include "optimizer/io_dp.h"
+#include "optimizer/dp.h"
 
 #include <gtest/gtest.h>
 

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "catalog/generator.h"
 #include "common/rng.h"
 #include "cost/cardinality.h"
 #include "mpq/mpq.h"
 #include "optimizer/dp.h"
+#include "optimizer/pruning.h"
 #include "partition/partition_index.h"
 #include "plan/plan_serde.h"
 
@@ -131,10 +134,16 @@ TEST_P(SeededProperty, CardinalityCutIdentity) {
     const double lhs = est.Cardinality(all);
     const double rhs = est.Cardinality(left) * est.Cardinality(right) *
                        est.ConnectingSelectivity(left, right);
-    if (rhs > 10) EXPECT_NEAR(lhs / rhs, 1.0, 1e-9);
+    if (rhs > 10) {
+      EXPECT_NEAR(lhs / rhs, 1.0, 1e-9);
+    }
   }
 }
 
+/// Every DP variant's MPQ answer against its serial (m = 1) optimum:
+/// kTime and interesting orders must reach the serial cost exactly; the
+/// exact (alpha = 1) Pareto frontiers must alpha-cover each other both
+/// ways.
 TEST_P(SeededProperty, MpqExactAcrossRandomConfigurations) {
   const uint64_t seed = GetParam();
   Rng rng(seed ^ 0x7777);
@@ -145,23 +154,53 @@ TEST_P(SeededProperty, MpqExactAcrossRandomConfigurations) {
                                   : rng.UniformInt(4, 9));
   const auto shape = static_cast<JoinGraphShape>(rng.UniformInt(0, 3));
   const Query q = MakeQuery(n, shape, seed);
-  DpConfig config;
-  config.space = space;
-  StatusOr<DpResult> serial = OptimizeSerial(q, config);
-  ASSERT_TRUE(serial.ok());
   const uint64_t m = UsableWorkers(
       n, space, uint64_t{1} << rng.UniformInt(0, 5));
-  MpqOptions opts;
-  opts.space = space;
-  opts.num_workers = m;
-  MpqOptimizer mpq(opts);
-  StatusOr<MpqResult> result = mpq.Optimize(q);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(
-      result.value().arena.node(result.value().best[0]).cost.time() /
-          serial.value().arena.node(serial.value().best[0]).cost.time(),
-      1.0, 1e-12)
-      << PlanSpaceName(space) << " n=" << n << " m=" << m;
+  enum class Variant { kTime, kPareto, kInterestingOrders };
+  const char* const kNames[] = {"time", "pareto_a1", "interesting_orders"};
+  for (Variant variant :
+       {Variant::kTime, Variant::kPareto, Variant::kInterestingOrders}) {
+    DpConfig config;
+    config.space = space;
+    config.interesting_orders = variant == Variant::kInterestingOrders;
+    if (variant == Variant::kPareto) {
+      config.objective = Objective::kTimeAndBuffer;
+      config.alpha = 1.0;
+    }
+    StatusOr<DpResult> serial = OptimizeSerial(q, config);
+    ASSERT_TRUE(serial.ok());
+    MpqOptions opts;
+    opts.space = space;
+    opts.objective = config.objective;
+    opts.alpha = config.alpha;
+    opts.interesting_orders = config.interesting_orders;
+    opts.num_workers = m;
+    MpqOptimizer mpq(opts);
+    StatusOr<MpqResult> result = mpq.Optimize(q);
+    ASSERT_TRUE(result.ok());
+    const std::string where = std::string(PlanSpaceName(space)) +
+                              " n=" + std::to_string(n) +
+                              " m=" + std::to_string(m) + " " +
+                              kNames[static_cast<int>(variant)];
+    if (variant != Variant::kPareto) {
+      EXPECT_NEAR(
+          result.value().arena.node(result.value().best[0]).cost.time() /
+              serial.value().arena.node(serial.value().best[0]).cost.time(),
+          1.0, 1e-12)
+          << where;
+      continue;
+    }
+    std::vector<CostVector> mpq_costs, serial_costs;
+    for (PlanId id : result.value().best) {
+      mpq_costs.push_back(result.value().arena.node(id).cost);
+    }
+    for (PlanId id : serial.value().best) {
+      serial_costs.push_back(serial.value().arena.node(id).cost);
+    }
+    const double alpha = 1.0 + 1e-12;
+    EXPECT_TRUE(AlphaCovers(mpq_costs, serial_costs, alpha)) << where;
+    EXPECT_TRUE(AlphaCovers(serial_costs, mpq_costs, alpha)) << where;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,

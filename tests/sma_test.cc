@@ -215,7 +215,9 @@ TEST(SmaTest, NetworkGrowsExponentiallyWithQuerySize) {
     const Query q = RandomQuery(n, 73);
     StatusOr<SmaResult> r = SmaOptimize(q, Options(PlanSpace::kLinear, 4));
     ASSERT_TRUE(r.ok());
-    if (previous > 0) EXPECT_GT(r.value().network_bytes, 2 * previous);
+    if (previous > 0) {
+      EXPECT_GT(r.value().network_bytes, 2 * previous);
+    }
     previous = r.value().network_bytes;
   }
 }
