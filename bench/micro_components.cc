@@ -2,8 +2,8 @@
 //
 // Microbenchmarks (google-benchmark) of the hot optimizer components:
 // table-set operations, partition-index rank lookups, admissible-set and
-// split enumeration, cardinality estimation, Pareto insertion, and
-// message serialization.
+// split enumeration, cardinality estimation, Pareto insertion, the
+// per-partition DP of every optimizer variant, and message serialization.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,8 @@
 #include "common/rng.h"
 #include "cost/cardinality.h"
 #include "mpq/mpq.h"
+#include "optimizer/dp.h"
+#include "optimizer/pqo.h"
 #include "optimizer/pruning.h"
 #include "partition/partition_index.h"
 #include "plan/plan_serde.h"
@@ -354,6 +356,50 @@ void BM_WorkerFullOptimization(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkerFullOptimization)->Arg(10)->Arg(14);
 
+/// One worker's DP in the paper's unit, ns per costed plan
+/// (DpStats::plans_costed, the quantity of Theorems 6/7). Args: {space
+/// (0 = linear, 1 = bushy), variant (0 = time, 1 = Pareto alpha = 1,
+/// 2 = interesting orders, 3 = PQO)}. Linear runs partition 3 of 16 of a
+/// 14-table star, bushy partition 3 of 8 of an 11-table star. The
+/// plans_costed counter is per iteration; the reporter divides the
+/// iteration time by it.
+void BM_PartitionDp(benchmark::State& state) {
+  const bool bushy = state.range(0) == 1;
+  const int64_t variant = state.range(1);
+  const int n = bushy ? 11 : 14;
+  const PlanSpace space = bushy ? PlanSpace::kBushy : PlanSpace::kLinear;
+  const Query q = TestQuery(n);
+  StatusOr<ConstraintSet> constraints =
+      ConstraintSet::FromPartitionId(n, space, 3, bushy ? 8 : 16);
+  MPQOPT_CHECK(constraints.ok());
+  int64_t plans_costed = 0;
+  for (auto _ : state) {
+    if (variant == 3) {
+      PqoConfig config;
+      config.space = space;
+      StatusOr<PqoResult> r =
+          RunParametricDp(q, constraints.value(), config);
+      MPQOPT_CHECK(r.ok());
+      plans_costed = r.value().stats.plans_costed;
+    } else {
+      DpConfig config;
+      config.space = space;
+      config.objective =
+          variant == 1 ? Objective::kTimeAndBuffer : Objective::kTime;
+      config.alpha = 1.0;
+      config.interesting_orders = variant == 2;
+      StatusOr<DpResult> r = RunPartitionDp(q, constraints.value(), config);
+      MPQOPT_CHECK(r.ok());
+      plans_costed = r.value().stats.plans_costed;
+    }
+  }
+  state.counters["plans_costed"] = static_cast<double>(plans_costed);
+}
+BENCHMARK(BM_PartitionDp)
+    ->ArgNames({"bushy", "variant"})
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
+    ->Unit(benchmark::kMicrosecond);
+
 /// Console output as usual, plus one BenchJsonWriter record per run
 /// (bench name with its args as the config, ns/iter as the metric).
 class JsonCaptureReporter : public benchmark::ConsoleReporter {
@@ -376,6 +422,13 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
         if (run.counters.find("items_per_second") != run.counters.end()) {
           json_->Add(bench, config, "items_per_second",
                      run.counters.at("items_per_second"), "items/s");
+        }
+        const auto plans = run.counters.find("plans_costed");
+        if (plans != run.counters.end() && plans->second.value > 0) {
+          json_->Add(bench, config, "ns_per_plan_costed",
+                     run.real_accumulated_time / iters * 1e9 /
+                         plans->second.value,
+                     "ns");
         }
       }
     }

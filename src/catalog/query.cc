@@ -119,13 +119,6 @@ StatusOr<Query> Query::Deserialize(ByteReader* reader) {
   return query;
 }
 
-std::vector<std::pair<std::string, double>> Query::TableStatistics() const {
-  std::vector<std::pair<std::string, double>> stats;
-  stats.reserve(tables_.size());
-  for (const TableInfo& t : tables_) stats.emplace_back(t.name, t.cardinality);
-  return stats;
-}
-
 std::string Query::ToString() const {
   std::string out = "Query with " + std::to_string(num_tables()) + " tables\n";
   char buf[128];

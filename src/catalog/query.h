@@ -77,12 +77,6 @@ class Query {
   /// The set {0, ..., n-1} of all table indices.
   TableSet all_tables() const { return TableSet::AllTables(num_tables()); }
 
-  /// Per-table (name, cardinality) pairs in table-index order — the
-  /// statistics identity a cached plan for this query depends on. The
-  /// plan cache records this per entry so that a changed cardinality can
-  /// evict exactly the dependent plans.
-  std::vector<std::pair<std::string, double>> TableStatistics() const;
-
   /// Validates internal consistency (indices in range, selectivities in
   /// (0, 1], cardinalities positive). Called after deserialization.
   Status Validate() const;

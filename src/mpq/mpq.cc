@@ -78,6 +78,7 @@ void SerializeOptionsTail(const MpqOptions& options, ByteWriter* writer) {
   writer->WriteDouble(options.cost_options.block_size);
   writer->WriteDouble(options.cost_options.hash_constant);
   writer->WriteDouble(options.cost_options.output_cost_factor);
+  writer->WriteDouble(options.cost_options.sorted_scan_factor);
   writer->WriteU64(static_cast<uint64_t>(options.max_memo_entries));
 }
 
@@ -143,6 +144,9 @@ StatusOr<std::vector<uint8_t>> MpqOptimizer::WorkerMain(
     return s;
   }
   if (!(s = reader.ReadDouble(&config.cost_options.output_cost_factor)).ok()) {
+    return s;
+  }
+  if (!(s = reader.ReadDouble(&config.cost_options.sorted_scan_factor)).ok()) {
     return s;
   }
   uint64_t max_memo = 0;

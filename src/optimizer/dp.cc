@@ -19,13 +19,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Memo entry of the single-objective DP: the best plan for one admissible
 /// table set, O(1) space (Theorem 4) — children are recovered through
 /// left_bits at reconstruction time. The entry is its own (only) plan.
+/// `terms` holds the set's join-cost terms, computed once in Begin.
 struct ScalarEntry {
   double cost = kInf;
-  double card = 0;
+  JoinTerms terms;
   uint64_t left_bits = 0;
   JoinAlgorithm alg = JoinAlgorithm::kScan;
 };
-static_assert(sizeof(ScalarEntry) == 32);
+static_assert(sizeof(ScalarEntry) == 48);
 
 /// kTime: keep the single cheapest plan per table set.
 class ScalarPolicy {
@@ -36,16 +37,20 @@ class ScalarPolicy {
       : model_(config.objective, config.cost_options) {}
 
   Entry ScanEntry(int, double card) const {
-    return {model_.ScanCost(card).time(), card, 0, JoinAlgorithm::kScan};
+    return {model_.ScanCost(card).time(), model_.Terms(card), 0,
+            JoinAlgorithm::kScan};
   }
-  Entry Begin(TableSet, double card) const { return {kInf, card}; }
+  Entry Begin(TableSet, double card) const {
+    return {kInf, model_.Terms(card)};
+  }
   void Combine(TableSet left, TableSet, const Entry& le, const Entry& re,
                Entry* best, int64_t* plans_costed) const {
     MPQOPT_DCHECK(le.cost < kInf && re.cost < kInf);
     const double base = le.cost + re.cost;
     for (JoinAlgorithm alg : kJoinAlgorithms) {
       const double cost =
-          base + model_.LocalJoinTime(alg, le.card, re.card, best->card);
+          base + model_.LocalJoinTime(alg, le.terms, re.terms,
+                                      best->terms.card);
       ++*plans_costed;
       if (cost < best->cost) {
         best->cost = cost;
@@ -59,7 +64,7 @@ class ScalarPolicy {
   }
 
   static const Entry& PlanAt(const Entry& e, uint32_t) { return e; }
-  double NodeCard(const Entry& e) const { return e.card; }
+  double NodeCard(const Entry& e) const { return e.terms.card; }
   CostVector NodeCost(const Entry& p) const {
     return CostVector::Scalar(p.cost);
   }
@@ -70,13 +75,16 @@ class ScalarPolicy {
 };
 
 /// kTimeAndBuffer: keep an alpha-approximate Pareto frontier per set.
-class ParetoPolicy : public FrontierMemo<double, PlanRef<CostVector>> {
+class ParetoPolicy : public FrontierMemo<JoinTerms, PlanRef<CostVector>> {
  public:
   ParetoPolicy(const Query&, const DpConfig& config)
       : model_(config.objective, config.cost_options), alpha_(config.alpha) {}
 
   Entry ScanEntry(int, double card) {
-    return Scans(card, {{model_.ScanCost(card)}});
+    return Scans(model_.Terms(card), {{model_.ScanCost(card)}});
+  }
+  Entry Begin(TableSet u, double card) {
+    return FrontierMemo::Begin(u, model_.Terms(card));
   }
   void Combine(TableSet left, TableSet, const Entry& le, const Entry& re,
                Entry* entry, int64_t* plans_costed) {
@@ -89,13 +97,14 @@ class ParetoPolicy : public FrontierMemo<double, PlanRef<CostVector>> {
           ++*plans_costed;
           const Plan cand = {
               model_.JoinCost(alg, le.plans[li].cost, re.plans[ri].cost,
-                              le.card, re.card, entry->card),
+                              le.card, re.card, entry->card.card),
               left.bits(), li, ri, alg};
           ParetoInsert(&scratch_, cand, cost_of, alpha_);
         }
       }
     }
   }
+  double NodeCard(const Entry& e) const { return e.card.card; }
   CostVector NodeCost(const Plan& p) const { return p.cost; }
 
  private:
@@ -130,7 +139,7 @@ constexpr auto kCovers = [](const IoPlan& a, const IoPlan& b) {
 /// outer order; hash joins destroy order; scans come in heap (unordered)
 /// and sorted variants. The partitioning is orthogonal to the order
 /// dimension: the same constraints restrict the same table sets.
-class InterestingOrderPolicy : public FrontierMemo<double, IoPlan> {
+class InterestingOrderPolicy : public FrontierMemo<JoinTerms, IoPlan> {
  public:
   InterestingOrderPolicy(const Query& query, const DpConfig& config)
       : query_(query),
@@ -148,12 +157,17 @@ class InterestingOrderPolicy : public FrontierMemo<double, IoPlan> {
       DominanceInsert(&scans, {model_.SortedScanTime(card), 0, 0, 0, order},
                       kCovers, kCovers);
     }
-    return Scans(card, std::move(scans));
+    return Scans(model_.Terms(card), std::move(scans));
+  }
+  Entry Begin(TableSet u, double card) {
+    return FrontierMemo::Begin(u, model_.Terms(card));
   }
   void Combine(TableSet left, TableSet right, const Entry& le,
                const Entry& re, Entry* entry, int64_t* plans_costed) {
-    const std::vector<int> merge_classes =
-        orders_.MergeClassesForCut(left, right);
+    orders_.MergeClassesForCut(left, right, &merge_classes_);
+    const JoinTerms& l = le.card;
+    const JoinTerms& r = re.card;
+    const double out = entry->card.card;
     for (uint32_t li = 0; li < le.num_plans; ++li) {
       for (uint32_t ri = 0; ri < re.num_plans; ++ri) {
         const IoPlan& lp = le.plans[li];
@@ -169,25 +183,25 @@ class InterestingOrderPolicy : public FrontierMemo<double, IoPlan> {
         // Block nested loop: preserves the outer (left) order.
         offer(JoinAlgorithm::kBlockNestedLoop,
               base + model_.LocalJoinTime(JoinAlgorithm::kBlockNestedLoop,
-                                          le.card, re.card, entry->card),
+                                          l, r, out),
               lp.order);
         // Hash join: destroys order.
         offer(JoinAlgorithm::kHashJoin,
-              base + model_.LocalJoinTime(JoinAlgorithm::kHashJoin, le.card,
-                                          re.card, entry->card),
+              base + model_.LocalJoinTime(JoinAlgorithm::kHashJoin, l, r,
+                                          out),
               kNoOrder);
         // Sort-merge join: one variant per equality class crossing the
         // cut; inputs already sorted in that class skip their sort.
-        for (int cls : merge_classes) {
-          double cost =
-              base + model_.MergePhaseTime(le.card, re.card, entry->card);
-          if (lp.order != cls) cost += model_.SortTime(le.card);
-          if (rp.order != cls) cost += model_.SortTime(re.card);
+        for (int cls : merge_classes_) {
+          double cost = base + model_.MergePhaseTime(l.card, r.card, out);
+          if (lp.order != cls) cost += l.sort;
+          if (rp.order != cls) cost += r.sort;
           offer(JoinAlgorithm::kSortMergeJoin, cost, cls);
         }
       }
     }
   }
+  double NodeCard(const Entry& e) const { return e.card.card; }
   CostVector NodeCost(const IoPlan& p) const {
     return CostVector::Scalar(p.cost);
   }
@@ -204,6 +218,8 @@ class InterestingOrderPolicy : public FrontierMemo<double, IoPlan> {
   const Query& query_;
   const CostModel model_;
   const OrderClasses orders_;
+  /// The merge classes of the split being costed, reused across splits.
+  std::vector<int> merge_classes_;
 };
 
 /// Runs Policy's DP and materializes the plans its Answer picks.

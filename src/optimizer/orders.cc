@@ -61,20 +61,20 @@ int OrderClasses::ClassOfPredicate(const JoinPredicate& p) const {
   return ClassOf(p.left_table, p.left_attribute);
 }
 
-std::vector<int> OrderClasses::MergeClassesForCut(TableSet left,
-                                                  TableSet right) const {
-  std::vector<int> classes;
+void OrderClasses::MergeClassesForCut(TableSet left, TableSet right,
+                                      std::vector<int>* classes) const {
+  classes->clear();
   const TableSet probe = left.Count() <= right.Count() ? left : right;
   const TableSet other = left.Count() <= right.Count() ? right : left;
   for (int t : probe) {
     for (const Edge& e : adjacency_[t]) {
       if (other.Contains(e.other_table) &&
-          std::find(classes.begin(), classes.end(), e.cls) == classes.end()) {
-        classes.push_back(e.cls);
+          std::find(classes->begin(), classes->end(), e.cls) ==
+              classes->end()) {
+        classes->push_back(e.cls);
       }
     }
   }
-  return classes;
 }
 
 bool OrderClasses::TableHasClass(int table, int cls) const {

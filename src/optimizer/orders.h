@@ -44,10 +44,12 @@ class OrderClasses {
   /// construction).
   int ClassOfPredicate(const JoinPredicate& p) const;
 
-  /// All distinct classes of predicates connecting `left` and `right` —
-  /// the candidate sort-merge keys for that cut. Deduplicated; empty for
-  /// a pure cross product.
-  std::vector<int> MergeClassesForCut(TableSet left, TableSet right) const;
+  /// Replaces `*classes` with all distinct classes of predicates
+  /// connecting `left` and `right` — the candidate sort-merge keys for
+  /// that cut — in first-seen order. Empty for a pure cross product. The
+  /// DP calls this once per split with one reused buffer.
+  void MergeClassesForCut(TableSet left, TableSet right,
+                          std::vector<int>* classes) const;
 
   /// True if some attribute of `table` belongs to class `cls` (i.e. a
   /// scan of that table can be produced sorted in that class).

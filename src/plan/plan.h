@@ -62,8 +62,8 @@ struct PlanNode {
 /// carved out of a common/arena.h bump arena, so appending never moves
 /// existing nodes (references handed out by node() stay valid across
 /// growth) and the slack stays within the 2x a vector's capacity policy
-/// allowed. Deep copy is supported — the plan cache stores winner plans
-/// by value (CachedPlan) and re-materializes them per hit.
+/// allowed. Deep copy is supported, so results holding an arena copy
+/// by value.
 class PlanArena {
  public:
   PlanArena() = default;

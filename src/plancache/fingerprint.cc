@@ -128,4 +128,39 @@ PlanCacheKey FingerprintQuery(const Query& query, const MpqOptions& options) {
   return key;
 }
 
+bool AnyKeyTable(
+    const PlanCacheKey& key,
+    const std::function<bool(std::string_view name, double cardinality)>&
+        visit) {
+  // The layout FingerprintQuery writes: version, then Query::Serialize,
+  // whose tables come first as (cardinality, u32 attribute count, the
+  // domains, u32 name length, name bytes).
+  ByteReader reader(key.bytes);
+  uint8_t version = 0;
+  uint32_t num_tables = 0;
+  if (!reader.ReadU8(&version).ok() || version != kFingerprintVersion ||
+      !reader.ReadU32(&num_tables).ok()) {
+    return false;
+  }
+  for (uint32_t t = 0; t < num_tables; ++t) {
+    double cardinality = 0;
+    uint32_t num_attrs = 0;
+    uint32_t name_size = 0;
+    if (!reader.ReadDouble(&cardinality).ok() ||
+        !reader.ReadU32(&num_attrs).ok() ||
+        reader.remaining() / sizeof(double) < num_attrs) {
+      return false;
+    }
+    reader.Advance(num_attrs * sizeof(double));
+    if (!reader.ReadU32(&name_size).ok() || reader.remaining() < name_size) {
+      return false;
+    }
+    const std::string_view name(
+        reinterpret_cast<const char*>(reader.cursor()), name_size);
+    reader.Advance(name_size);
+    if (visit(name, cardinality)) return true;
+  }
+  return false;
+}
+
 }  // namespace mpqopt

@@ -19,6 +19,8 @@
 #define MPQOPT_PLANCACHE_FINGERPRINT_H_
 
 #include <cstdint>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "catalog/query.h"
@@ -54,6 +56,18 @@ uint64_t HashBytes64(const uint8_t* data, size_t size, uint64_t seed);
 /// platform (the serialization layer guarantees this; see
 /// tests/serialize_determinism_test.cc).
 PlanCacheKey FingerprintQuery(const Query& query, const MpqOptions& options);
+
+/// Reads back the (table name, cardinality) pairs a fingerprint holds —
+/// the statistics the key's plan was costed with — and calls
+/// visit(name, cardinality) on each in table order until it returns
+/// true. Returns whether some call did. The plan cache's statistics-
+/// sensitive invalidation reads its entries' tables this way, so they
+/// are stored once, in the key. Bytes that are not a fingerprint of the
+/// current version visit nothing past the first malformed field.
+bool AnyKeyTable(
+    const PlanCacheKey& key,
+    const std::function<bool(std::string_view name, double cardinality)>&
+        visit);
 
 }  // namespace mpqopt
 

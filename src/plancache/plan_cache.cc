@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "obs/trace.h"
+#include "plan/plan_serde.h"
 
 namespace mpqopt {
 namespace {
@@ -16,19 +17,14 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-/// Bytes an entry is charged for beyond its structs: key bytes (stored
-/// once, in the index), plan arena, best ids, and table metadata.
-size_t ChargeBytes(const PlanCacheKey& key, const CachedPlan& plan,
-                   const std::vector<std::pair<std::string, double>>& stats) {
-  size_t charge = sizeof(PlanCacheKey) + key.bytes.capacity();
-  charge += plan.arena.MemoryBytes();
-  charge += plan.best.capacity() * sizeof(PlanId);
-  for (const auto& [name, cardinality] : stats) {
-    (void)cardinality;
-    charge += sizeof(std::pair<std::string, double>) + name.capacity();
-  }
-  // List node + index slot overhead (approximate; exact malloc accounting
-  // is not worth chasing — the budget is a throttle, not a ledger).
+/// Bytes an entry is charged for: the key (stored once, in the index,
+/// as an exact-size copy) and the plan bytes, plus their structs.
+size_t ChargeBytes(const PlanCacheKey& key, const CachedPlan& plan) {
+  size_t charge = sizeof(PlanCacheKey) + key.bytes.size();
+  charge += sizeof(CachedPlan) + plan.plan_bytes.capacity();
+  // List node, index slot and shared_ptr control block (approximate;
+  // exact malloc accounting is not worth chasing — the budget is a
+  // throttle, not a ledger).
   charge += 128;
   return charge;
 }
@@ -82,22 +78,23 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(const PlanCacheKey& key,
   return entry.plan;  // ref-count bump only — no plan copy under the lock
 }
 
+StatusOr<std::vector<PlanId>> CachedPlan::Decode(PlanArena* arena) const {
+  ByteReader reader(plan_bytes);
+  return DeserializePlanSet(&reader, arena);
+}
+
 std::shared_ptr<const CachedPlan> PlanCache::Insert(
-    const PlanCacheKey& key,
-    std::vector<std::pair<std::string, double>> table_statistics,
-    const PlanArena& arena, const std::vector<PlanId>& best,
-    uint64_t computed_at_epoch) {
+    const PlanCacheKey& key, const PlanArena& arena,
+    const std::vector<PlanId>& best, uint64_t computed_at_epoch) {
   obs::Span insert_span("cache.insert");
-  // Re-materialize only the winning subtrees into a compact private
-  // arena: the source arena holds every plan all m workers returned.
+  // Serialize only the winning subtrees: the source arena holds every
+  // plan all m workers returned.
   auto plan = std::make_shared<CachedPlan>();
-  plan->best.reserve(best.size());
-  for (PlanId id : best) {
-    plan->best.push_back(CopyPlan(arena, id, &plan->arena));
-  }
+  ByteWriter writer(&plan->plan_bytes);
+  SerializePlanSet(arena, best, &writer);
+  plan->plan_bytes.shrink_to_fit();
   Entry entry;
   entry.plan = plan;
-  entry.table_statistics = std::move(table_statistics);
   // An entry stamped with a pre-bump epoch is born stale: the next probe
   // evicts it, so an epoch bump fences even in-flight computations.
   entry.statistics_epoch = computed_at_epoch == kCurrentEpoch
@@ -109,7 +106,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
         Now() + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(options_.ttl_seconds));
   }
-  entry.charge = ChargeBytes(key, *plan, entry.table_statistics);
+  entry.charge = ChargeBytes(key, *plan);
   if (entry.charge > per_shard_capacity_) {
     return plan;  // caching it would evict a whole shard — hand back only
   }
@@ -169,8 +166,8 @@ size_t PlanCache::InvalidateWhere(
     for (Index::iterator it = shard.index.begin();
          it != shard.index.end();) {
       const Entry& entry = it->second->second;
-      const PlanCacheEntryView view{entry.table_statistics,
-                                    entry.statistics_epoch, entry.charge};
+      const PlanCacheEntryView view{it->first, entry.statistics_epoch,
+                                    entry.charge};
       if (predicate(view)) {
         ++shard.stats.evictions_invalidated;
         it = EraseLocked(&shard, it);
@@ -185,11 +182,10 @@ size_t PlanCache::InvalidateWhere(
 
 size_t PlanCache::InvalidateTable(const std::string& name) {
   return InvalidateWhere([&name](const PlanCacheEntryView& view) {
-    for (const auto& [table, cardinality] : view.table_statistics) {
-      (void)cardinality;
-      if (table == name) return true;
-    }
-    return false;
+    return AnyKeyTable(view.key,
+                       [&name](std::string_view table, double) {
+                         return table == name;
+                       });
   });
 }
 

@@ -10,17 +10,21 @@
 //    hash; each shard has its own mutex, LRU list, and byte budget
 //    (capacity_bytes / num_shards), so concurrent servers on different
 //    fingerprints never contend on one lock.
-//  * Byte-budget capacity. An entry is charged for its key bytes, its
-//    plan arena, and its invalidation metadata; inserting past the shard
-//    budget evicts from the LRU tail.
+//  * Compact entries. An entry holds its key and the winning plans as
+//    SerializePlanSet bytes (about a third of a PlanArena's footprint);
+//    a hit decodes them. Nothing else is stored per entry.
+//  * Byte-budget capacity. An entry is charged for its key bytes and its
+//    plan bytes; inserting past the shard budget evicts from the LRU
+//    tail.
 //  * TTL. Entries expire ttl_seconds after insertion (0 = never); expiry
 //    is detected on probe and on insert-time eviction scans.
 //  * Statistics-sensitive invalidation. Every entry records the
-//    statistics epoch at insert and the (table name, cardinality) pairs
-//    its plan was costed with. BumpStatisticsEpoch() invalidates
-//    everything from older epochs (coarse: "the catalog changed");
-//    InvalidateWhere(predicate) evicts exactly the entries whose
-//    metadata matches (targeted: "table R3's cardinality changed").
+//    statistics epoch at insert; the (table name, cardinality) pairs its
+//    plan was costed with are part of its key (AnyKeyTable reads them).
+//    BumpStatisticsEpoch() invalidates everything from older epochs
+//    (coarse: "the catalog changed"); InvalidateWhere(predicate) evicts
+//    exactly the entries whose metadata matches (targeted: "table R3's
+//    cardinality changed").
 //  * Collision safety. The index hashes the 128-bit fingerprint but
 //    compares the full key bytes on every probe; a forced hash collision
 //    is a miss, never a wrong plan.
@@ -47,6 +51,7 @@
 
 #include "catalog/query.h"
 #include "common/macros.h"
+#include "common/status.h"
 #include "plan/plan.h"
 #include "plancache/fingerprint.h"
 
@@ -66,10 +71,12 @@ struct PlanCacheOptions {
 };
 
 /// The cached value: the optimal plan (kTime) or merged Pareto frontier
-/// (kTimeAndBuffer), materialized in a compact private arena.
+/// (kTimeAndBuffer), as SerializePlanSet bytes.
 struct CachedPlan {
-  PlanArena arena;
-  std::vector<PlanId> best;
+  std::vector<uint8_t> plan_bytes;
+
+  /// Materializes the plans into `arena`; returns their ids in order.
+  StatusOr<std::vector<PlanId>> Decode(PlanArena* arena) const;
 };
 
 /// Aggregate counters across all shards (monotonic since construction,
@@ -92,8 +99,9 @@ struct PlanCacheStats {
 /// Read-only view of one entry's invalidation metadata, passed to
 /// InvalidateWhere predicates.
 struct PlanCacheEntryView {
-  /// (table name, cardinality) pairs the cached plan was costed with.
-  const std::vector<std::pair<std::string, double>>& table_statistics;
+  /// The entry's key; AnyKeyTable reads the (table name, cardinality)
+  /// pairs the cached plan was costed with from it.
+  const PlanCacheKey& key;
   /// Statistics epoch the entry was inserted under.
   uint64_t statistics_epoch;
   /// Bytes charged against the shard budget.
@@ -120,12 +128,11 @@ class PlanCache {
   std::shared_ptr<const CachedPlan> Lookup(const PlanCacheKey& key,
                                            bool count_miss = true);
 
-  /// Inserts (or replaces) the plan for `key`, re-materializing only the
-  /// winning `best` subtrees of `arena` into a compact private copy,
-  /// which is returned (so a single-flight leader can hand it to waiters
-  /// even when it was too large to cache). `table_statistics` is the
-  /// invalidation metadata, normally query.TableStatistics(). Entries
-  /// larger than a whole shard's budget are not cached.
+  /// Inserts (or replaces) the plan for `key`, serializing only the
+  /// winning `best` subtrees of `arena`. The entry's plan is returned (so
+  /// a single-flight leader can hand it to waiters even when it was too
+  /// large to cache). Entries larger than a whole shard's budget are not
+  /// cached.
   ///
   /// `computed_at_epoch` is the statistics epoch the plan's inputs were
   /// read under (capture statistics_epoch() before optimizing). If the
@@ -133,9 +140,8 @@ class PlanCache {
   /// already-stale and the next probe evicts it — a plan computed from
   /// pre-invalidation statistics cannot outlive the invalidation.
   std::shared_ptr<const CachedPlan> Insert(
-      const PlanCacheKey& key,
-      std::vector<std::pair<std::string, double>> table_statistics,
-      const PlanArena& arena, const std::vector<PlanId>& best,
+      const PlanCacheKey& key, const PlanArena& arena,
+      const std::vector<PlanId>& best,
       uint64_t computed_at_epoch = kCurrentEpoch);
 
   /// Current statistics epoch (starts at 0).
@@ -171,7 +177,6 @@ class PlanCache {
  private:
   struct Entry {
     std::shared_ptr<const CachedPlan> plan;
-    std::vector<std::pair<std::string, double>> table_statistics;
     std::chrono::steady_clock::time_point expires_at;
     bool expires = false;
     uint64_t statistics_epoch = 0;

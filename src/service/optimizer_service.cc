@@ -57,12 +57,13 @@ StatusOr<MpqResult> OptimizerService::RunOptimizer(const Query& query,
 
 namespace {
 
-/// Materializes a served plan into the result shape Optimize returns;
-/// the arena copy happens on the caller's thread, outside any cache lock.
-MpqResult ResultFromCachedPlan(const CachedPlan& plan) {
+/// Decodes a served plan into the result shape Optimize returns, on the
+/// caller's thread, outside any cache lock.
+StatusOr<MpqResult> ResultFromCachedPlan(const CachedPlan& plan) {
   MpqResult result;
-  result.arena = plan.arena;
-  result.best = plan.best;
+  StatusOr<std::vector<PlanId>> best = plan.Decode(&result.arena);
+  if (!best.ok()) return best.status();
+  result.best = std::move(best).value();
   result.from_plan_cache = true;
   return result;
 }
@@ -109,9 +110,8 @@ StatusOr<MpqResult> OptimizerService::OptimizeThroughCache(
       StatusOr<MpqResult> result = RunOptimizer(query, options);
       std::shared_ptr<const CachedPlan> plan;
       if (result.ok()) {
-        plan = cache_->Insert(key, query.TableStatistics(),
-                              result.value().arena, result.value().best,
-                              epoch);
+        plan = cache_->Insert(key, result.value().arena,
+                              result.value().best, epoch);
       }
       flights_.Done(flight_key, std::move(plan));
       *cache_hit = false;

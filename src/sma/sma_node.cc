@@ -245,9 +245,10 @@ StatusOr<SmaNode::Entry> SmaNode::ComputeScalar(TableSet u) const {
     // Missing sub-plans are kInf; the inf propagates and never wins, so
     // an out-of-order chunk surfaces as "no candidate" below.
     const double base = le.cost + re.cost;
+    const JoinTerms l = model_.Terms(le.card);
+    const JoinTerms r = model_.Terms(re.card);
     for (JoinAlgorithm alg : kJoinAlgorithms) {
-      const double cost =
-          base + model_.LocalJoinTime(alg, le.card, re.card, best.card);
+      const double cost = base + model_.LocalJoinTime(alg, l, r, best.card);
       if (cost < best.cost) {
         best.cost = cost;
         best.left_bits = left.bits();
@@ -280,13 +281,14 @@ StatusOr<SmaNode::MoEntry> SmaNode::ComputeMo(TableSet u) const {
   const auto consider = [&](TableSet left, TableSet right) {
     const MoEntry& le = mo_memo_[left.bits()];
     const MoEntry& re = mo_memo_[right.bits()];
+    const JoinTerms l = model_.Terms(le.card);
+    const JoinTerms r = model_.Terms(re.card);
     for (uint32_t li = 0; li < le.plans.size(); ++li) {
       for (uint32_t ri = 0; ri < re.plans.size(); ++ri) {
         for (JoinAlgorithm alg : kJoinAlgorithms) {
           MoPlan cand;
-          cand.cost =
-              model_.JoinCost(alg, le.plans[li].cost, re.plans[ri].cost,
-                              le.card, re.card, entry.card);
+          cand.cost = model_.JoinCost(alg, le.plans[li].cost,
+                                      re.plans[ri].cost, l, r, entry.card);
           cand.left_bits = left.bits();
           cand.left_idx = li;
           cand.right_idx = ri;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace mpqopt {
@@ -115,6 +116,89 @@ TEST(CostModelTest, NestedLoopCompetitiveOnTinyOuter) {
   EXPECT_LT(
       model.LocalJoinTime(JoinAlgorithm::kBlockNestedLoop, 10, 1000, 10),
       model.LocalJoinTime(JoinAlgorithm::kSortMergeJoin, 10, 1000, 10));
+}
+
+/// The textbook formulas written out directly from the cardinalities,
+/// in the association order the DP's plans are pinned to.
+double ReferenceLocalTime(JoinAlgorithm alg, double l, double r, double out,
+                          const CostModelOptions& o) {
+  double work = 0;
+  switch (alg) {
+    case JoinAlgorithm::kBlockNestedLoop:
+      work = l + std::ceil(l / o.block_size) * r;
+      break;
+    case JoinAlgorithm::kHashJoin:
+      work = o.hash_constant * (l + r);
+      break;
+    case JoinAlgorithm::kSortMergeJoin:
+      work = l * (l > 2 ? std::log2(l) : 1.0) +
+             r * (r > 2 ? std::log2(r) : 1.0) + l + r;
+      break;
+    case JoinAlgorithm::kScan:
+      break;
+  }
+  return work + o.output_cost_factor * out;
+}
+
+double ReferenceLocalBuffer(JoinAlgorithm alg, double l, double r,
+                            const CostModelOptions& o) {
+  switch (alg) {
+    case JoinAlgorithm::kBlockNestedLoop:
+      return o.block_size;
+    case JoinAlgorithm::kHashJoin:
+      return l;
+    case JoinAlgorithm::kSortMergeJoin:
+      return l + r;
+    case JoinAlgorithm::kScan:
+      break;
+  }
+  return 0;
+}
+
+TEST(CostModelTest, TermsKernelEqualsReferenceFormulasBitForBit) {
+  CostModelOptions opts;
+  opts.block_size = 64;
+  opts.hash_constant = 1.3;
+  opts.output_cost_factor = 0.7;
+  const double cards[] = {0.5, 1, 2, 2.5, 99, 100, 101, 1e6, 1e15};
+  for (Objective objective : {Objective::kTime, Objective::kTimeAndBuffer}) {
+    const CostModel model(objective, opts);
+    const bool mo = objective == Objective::kTimeAndBuffer;
+    const CostVector lc =
+        mo ? CostVector::TimeBuffer(123.25, 77) : CostVector::Scalar(123.25);
+    const CostVector rc =
+        mo ? CostVector::TimeBuffer(0.125, 4096) : CostVector::Scalar(0.125);
+    for (double l : cards) {
+      const JoinTerms lt = model.Terms(l);
+      EXPECT_EQ(lt.card, l);
+      EXPECT_EQ(lt.sort, l * (l > 2 ? std::log2(l) : 1.0)) << l;
+      EXPECT_EQ(lt.sort, model.SortTime(l)) << l;
+      EXPECT_EQ(lt.blocks, std::ceil(l / opts.block_size)) << l;
+      for (double r : cards) {
+        const JoinTerms rt = model.Terms(r);
+        for (double out : cards) {
+          for (JoinAlgorithm alg : kJoinAlgorithms) {
+            const double local = ReferenceLocalTime(alg, l, r, out, opts);
+            EXPECT_EQ(model.LocalJoinTime(alg, lt, rt, out), local)
+                << JoinAlgorithmName(alg) << " " << l << " " << r;
+            EXPECT_EQ(model.LocalJoinTime(alg, l, r, out), local);
+            const double time = lc.time() + rc.time() + local;
+            for (const CostVector& joined :
+                 {model.JoinCost(alg, lc, rc, lt, rt, out),
+                  model.JoinCost(alg, lc, rc, l, r, out)}) {
+              ASSERT_EQ(joined.num_metrics(), mo ? 2 : 1);
+              EXPECT_EQ(joined.time(), time);
+              if (mo) {
+                EXPECT_EQ(joined[1],
+                          std::max({lc[1], rc[1],
+                                    ReferenceLocalBuffer(alg, l, r, opts)}));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CostModelTest, NumMetricsFollowsObjective) {

@@ -41,6 +41,31 @@ TEST(MpqTest, SingleWorkerEqualsSerialOptimizer) {
       serial.value().arena.node(serial.value().best[0]).cost.time());
 }
 
+TEST(MpqTest, WorkersUseTheSortedScanFactor) {
+  // Every cost option reaches the workers: with a cheap order-producing
+  // scan the optimum uses sorted scans, and MPQ must find the same cost
+  // as the serial optimizer (it used to price them at the default 1.2).
+  GeneratorOptions gen_opts;
+  gen_opts.shape = JoinGraphShape::kChain;
+  QueryGenerator gen(gen_opts, 7);
+  const Query q = gen.Generate(8);
+  MpqOptions opts = Options(PlanSpace::kLinear, 4);
+  opts.interesting_orders = true;
+  opts.cost_options.sorted_scan_factor = 0.3;
+  MpqOptimizer mpq(opts);
+  StatusOr<MpqResult> result = mpq.Optimize(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  DpConfig config;
+  config.space = PlanSpace::kLinear;
+  config.interesting_orders = true;
+  config.cost_options = opts.cost_options;
+  StatusOr<DpResult> serial = OptimizeSerial(q, config);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(result.value().arena.node(result.value().best[0]).cost.time(),
+            serial.value().arena.node(serial.value().best[0]).cost.time());
+}
+
 TEST(MpqTest, RejectsNonPowerOfTwoWorkers) {
   const Query q = RandomQuery(8, 2);
   MpqOptimizer mpq(Options(PlanSpace::kLinear, 3));

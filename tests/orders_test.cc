@@ -62,21 +62,23 @@ TEST(OrderClassesTest, MergeClassesForCut) {
   const Query q = ChainedQuery();
   const OrderClasses orders(q);
   const int cls = orders.ClassOf(0, 0);
+  // One buffer across all cuts, as the DP uses it: each call replaces
+  // the previous cut's classes.
+  std::vector<int> classes = {-7, -8};
   // Cut {0} vs {1,2}: predicate 0-1 crosses.
-  std::vector<int> classes =
-      orders.MergeClassesForCut(TableSet::Single(0),
-                                TableSet::Single(1).With(2));
+  orders.MergeClassesForCut(TableSet::Single(0), TableSet::Single(1).With(2),
+                            &classes);
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0], cls);
   // Cut {0,2} vs {1}: both predicates cross, but they share one class.
-  classes = orders.MergeClassesForCut(TableSet::Single(0).With(2),
-                                      TableSet::Single(1));
+  orders.MergeClassesForCut(TableSet::Single(0).With(2), TableSet::Single(1),
+                            &classes);
   ASSERT_EQ(classes.size(), 1u);
   EXPECT_EQ(classes[0], cls);
   // Cut {0} vs {2}: cross product, no merge class.
-  EXPECT_TRUE(
-      orders.MergeClassesForCut(TableSet::Single(0), TableSet::Single(2))
-          .empty());
+  orders.MergeClassesForCut(TableSet::Single(0), TableSet::Single(2),
+                            &classes);
+  EXPECT_TRUE(classes.empty());
 }
 
 TEST(OrderClassesTest, MergeClassesDistinctForMultiplePredicates) {
@@ -92,8 +94,9 @@ TEST(OrderClassesTest, MergeClassesDistinctForMultiplePredicates) {
   preds.push_back({0, 1, 1, 1, 0.1});
   const Query q(std::move(tables), std::move(preds));
   const OrderClasses orders(q);
-  const std::vector<int> classes =
-      orders.MergeClassesForCut(TableSet::Single(0), TableSet::Single(1));
+  std::vector<int> classes;
+  orders.MergeClassesForCut(TableSet::Single(0), TableSet::Single(1),
+                            &classes);
   EXPECT_EQ(classes.size(), 2u);
   EXPECT_NE(classes[0], classes[1]);
 }

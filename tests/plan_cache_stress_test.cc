@@ -24,12 +24,14 @@
 namespace mpqopt {
 namespace {
 
+/// Key i fingerprints a one-table query over table "R<i % 8>" with i
+/// rows, so InvalidateTable("R<j>") hits every eighth key.
 PlanCacheKey KeyForIndex(int i) {
-  PlanCacheKey key;
-  key.bytes = {static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8)};
-  key.hash_hi = HashBytes64(key.bytes.data(), key.bytes.size(), 7);
-  key.hash_lo = HashBytes64(key.bytes.data(), key.bytes.size(), 8);
-  return key;
+  TableInfo table;
+  table.name = "R" + std::to_string(i % 8);
+  table.cardinality = i;
+  table.attribute_domains = {10.0};
+  return FingerprintQuery(Query({table}, {}), MpqOptions());
 }
 
 TEST(PlanCacheStressTest, ConcurrentHitMissInvalidateChurn) {
@@ -42,22 +44,22 @@ TEST(PlanCacheStressTest, ConcurrentHitMissInvalidateChurn) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   std::atomic<uint64_t> observed_hits{0};
+  std::vector<PlanCacheKey> keys;
+  for (int i = 0; i < kKeys; ++i) keys.push_back(KeyForIndex(i));
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &observed_hits, t]() {
+    threads.emplace_back([&cache, &observed_hits, &keys, t]() {
       for (int op = 0; op < kOpsPerThread; ++op) {
         const int i = (op * 31 + t * 17) % kKeys;
-        const PlanCacheKey key = KeyForIndex(i);
+        const PlanCacheKey& key = keys[static_cast<size_t>(i)];
         switch ((op + t) % 8) {
           case 0: {
             PlanArena arena;
             std::vector<PlanId> best = {arena.MakeScan(
                 0, static_cast<double>(i), CostVector::Scalar(i))};
-            std::string table("R");
-            table += std::to_string(i % 8);
-            cache.Insert(key, {{std::move(table), 1.0 * i}}, arena, best);
+            cache.Insert(key, arena, best);
             break;
           }
           case 5:
@@ -76,10 +78,12 @@ TEST(PlanCacheStressTest, ConcurrentHitMissInvalidateChurn) {
             if (hit != nullptr) {
               // A served plan is always internally consistent, even mid-
               // churn: the marker scan for key i carries cardinality i.
-              ASSERT_EQ(hit->best.size(), 1u);
-              ASSERT_DOUBLE_EQ(
-                  hit->arena.node(hit->best[0]).cardinality,
-                  static_cast<double>(i));
+              PlanArena arena;
+              StatusOr<std::vector<PlanId>> best = hit->Decode(&arena);
+              ASSERT_TRUE(best.ok());
+              ASSERT_EQ(best.value().size(), 1u);
+              ASSERT_DOUBLE_EQ(arena.node(best.value()[0]).cardinality,
+                               static_cast<double>(i));
               observed_hits.fetch_add(1, std::memory_order_relaxed);
             }
             break;

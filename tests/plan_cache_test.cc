@@ -1,11 +1,12 @@
 // Copyright 2026 mpqopt authors.
 //
-// Plan-cache subsystem correctness (acceptance gate of the plan-cache
-// PR): a hit returns a plan equal to a fresh optimization; full-key
-// equality rejects forced hash collisions; TTL, byte-budget, and
-// statistics-epoch evictions fire; InvalidateWhere evicts exactly the
-// dependent entries; and concurrent misses on one fingerprint optimize
-// exactly once (single-flight).
+// Plan-cache subsystem correctness: a hit returns the same plan bytes as
+// the miss and a plan equal to a fresh optimization; full-key equality
+// rejects forced hash collisions; TTL, byte-budget, and statistics-epoch
+// evictions fire; InvalidateWhere evicts exactly the dependent entries,
+// whose tables are read back from the key; entries stay compact; and
+// concurrent misses on one fingerprint optimize exactly once
+// (single-flight).
 
 #include "plancache/plan_cache.h"
 
@@ -17,6 +18,7 @@
 
 #include "catalog/generator.h"
 #include "cluster/async_batch_backend.h"
+#include "plan/plan_serde.h"
 #include "plancache/fingerprint.h"
 #include "service/optimizer_service.h"
 
@@ -33,19 +35,55 @@ Query MakeQuery(int tables, uint64_t seed,
 
 /// A tiny one-node plan with a recognizable cardinality, for direct
 /// PlanCache tests that never run the optimizer.
-CachedPlan MakeMarkerPlan(double cardinality) {
-  CachedPlan plan;
+struct MarkerPlan {
+  PlanArena arena;
+  std::vector<PlanId> best;
+};
+MarkerPlan MakeMarkerPlan(double cardinality) {
+  MarkerPlan plan;
   plan.best.push_back(
       plan.arena.MakeScan(0, cardinality, CostVector::Scalar(cardinality)));
   return plan;
 }
 
-PlanCacheKey MakeRawKey(std::vector<uint8_t> bytes) {
-  PlanCacheKey key;
-  key.bytes = std::move(bytes);
-  key.hash_hi = HashBytes64(key.bytes.data(), key.bytes.size(), 1);
-  key.hash_lo = HashBytes64(key.bytes.data(), key.bytes.size(), 2);
-  return key;
+/// The cardinality of a cached marker plan.
+double MarkerOf(const CachedPlan& plan) {
+  PlanArena arena;
+  StatusOr<std::vector<PlanId>> best = plan.Decode(&arena);
+  EXPECT_TRUE(best.ok() && best.value().size() == 1u);
+  return best.ok() ? arena.node(best.value()[0]).cardinality : -1;
+}
+
+/// The fingerprint of a query over the given (name, cardinality) tables:
+/// direct PlanCache tests key their entries on the tables they name.
+PlanCacheKey MakeKey(
+    const std::vector<std::pair<std::string, double>>& tables) {
+  std::vector<TableInfo> infos;
+  for (const auto& [name, cardinality] : tables) {
+    TableInfo info;
+    info.name = name;
+    info.cardinality = cardinality;
+    info.attribute_domains = {10.0};
+    infos.push_back(std::move(info));
+  }
+  return FingerprintQuery(Query(std::move(infos), {}), MpqOptions());
+}
+
+/// The (name, cardinality) pairs AnyKeyTable reads back from `key`.
+std::vector<std::pair<std::string, double>> KeyTables(
+    const PlanCacheKey& key) {
+  std::vector<std::pair<std::string, double>> tables;
+  AnyKeyTable(key, [&tables](std::string_view name, double cardinality) {
+    tables.emplace_back(std::string(name), cardinality);
+    return false;
+  });
+  return tables;
+}
+
+std::vector<uint8_t> PlanSetBytes(const MpqResult& result) {
+  ByteWriter writer;
+  SerializePlanSet(result.arena, result.best, &writer);
+  return writer.Release();
 }
 
 // ------------------------------------------------------------ fingerprint
@@ -96,6 +134,39 @@ TEST(FingerprintTest, DeterministicAndSensitive) {
   EXPECT_NE(FingerprintQuery(other, opts), a);
 }
 
+TEST(FingerprintTest, KeyTablesReadBackTheQueryStatistics) {
+  const Query query = MakeQuery(9, 12);
+  MpqOptions opts;
+  opts.num_workers = 4;
+  const PlanCacheKey key = FingerprintQuery(query, opts);
+  std::vector<std::pair<std::string, double>> expected;
+  for (int t = 0; t < query.num_tables(); ++t) {
+    expected.emplace_back(query.table(t).name, query.table(t).cardinality);
+  }
+  EXPECT_EQ(KeyTables(key), expected);
+
+  // The visit stops at the first table it accepts.
+  int visited = 0;
+  EXPECT_TRUE(AnyKeyTable(key, [&](std::string_view name, double) {
+    ++visited;
+    return name == expected[2].first;
+  }));
+  EXPECT_EQ(visited, 3);
+  EXPECT_FALSE(AnyKeyTable(key, [](std::string_view, double) {
+    return false;
+  }));
+
+  // Truncated keys and foreign bytes never read past the end.
+  for (size_t size = 0; size < key.bytes.size(); ++size) {
+    PlanCacheKey cut = key;
+    cut.bytes.resize(size);
+    EXPECT_LE(KeyTables(cut).size(), expected.size());
+  }
+  PlanCacheKey foreign = key;
+  foreign.bytes[0] ^= 0xff;  // another fingerprint version
+  EXPECT_TRUE(KeyTables(foreign).empty());
+}
+
 // ------------------------------------------- hit equals fresh optimization
 
 TEST(PlanCacheServiceTest, HitReturnsPlanEqualToFreshOptimization) {
@@ -122,7 +193,9 @@ TEST(PlanCacheServiceTest, HitReturnsPlanEqualToFreshOptimization) {
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_TRUE(hit.value().from_plan_cache);
 
-  // Same structure and same cost as the fresh run.
+  // The hit decodes to exactly the plan bytes the miss returned, with
+  // the same structure and cost as the fresh run.
+  EXPECT_EQ(PlanSetBytes(hit.value()), PlanSetBytes(miss.value()));
   EXPECT_EQ(PlanToString(hit.value().arena, hit.value().best[0]),
             PlanToString(fresh.value().arena, fresh.value().best[0]));
   EXPECT_DOUBLE_EQ(hit.value().arena.node(hit.value().best[0]).cost.time(),
@@ -155,11 +228,34 @@ TEST(PlanCacheServiceTest, MultiObjectiveFrontierRoundTripsThroughCache) {
   StatusOr<MpqResult> hit = service.Optimize(query, opts);
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_TRUE(hit.value().from_plan_cache);
+  EXPECT_EQ(PlanSetBytes(hit.value()), PlanSetBytes(miss.value()));
   ASSERT_EQ(hit.value().best.size(), miss.value().best.size());
   for (size_t i = 0; i < hit.value().best.size(); ++i) {
     EXPECT_EQ(PlanToString(hit.value().arena, hit.value().best[i]),
               PlanToString(miss.value().arena, miss.value().best[i]));
   }
+}
+
+TEST(PlanCacheServiceTest, ElevenTableBushyEntryStaysCompact) {
+  // An entry holds only its key and the plan bytes: an 11-table bushy
+  // star plan (21 nodes) is charged well under what its arena took.
+  const Query query = MakeQuery(11, 5);
+  MpqOptions opts;
+  opts.space = PlanSpace::kBushy;
+  opts.num_workers = 8;
+
+  ServiceOptions service_opts;
+  service_opts.backend_kind = BackendKind::kAsyncBatch;
+  service_opts.backend_threads = 1;
+  service_opts.enable_plan_cache = true;
+  OptimizerService service(service_opts);
+  StatusOr<MpqResult> miss = service.Optimize(query, opts);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  EXPECT_EQ(CountJoins(miss.value().arena, miss.value().best[0]), 10);
+
+  const PlanCacheStats stats = service.plan_cache()->stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_LT(stats.bytes_in_use, 1600u);
 }
 
 // --------------------------------------------------------- collision safety
@@ -171,14 +267,14 @@ TEST(PlanCacheTest, ForcedHashCollisionIsMissNotWrongPlan) {
 
   // Two keys with identical hashes but different bytes: a forced 128-bit
   // collision, far beyond what the real hash would ever produce.
-  PlanCacheKey a = MakeRawKey({1, 2, 3, 4});
-  PlanCacheKey b = MakeRawKey({9, 9, 9, 9, 9});
+  PlanCacheKey a = MakeKey({{"T", 1.0}});
+  PlanCacheKey b = MakeKey({{"T", 2.0}});
   b.hash_hi = a.hash_hi;
   b.hash_lo = a.hash_lo;
   ASSERT_NE(a, b);
 
-  const CachedPlan plan_a = MakeMarkerPlan(111.0);
-  cache.Insert(a, {{"T", 1.0}}, plan_a.arena, plan_a.best);
+  const MarkerPlan plan_a = MakeMarkerPlan(111.0);
+  cache.Insert(a, plan_a.arena, plan_a.best);
 
   // The colliding key must miss — full-key equality rejects it.
   EXPECT_FALSE(cache.Lookup(b) != nullptr);
@@ -186,14 +282,14 @@ TEST(PlanCacheTest, ForcedHashCollisionIsMissNotWrongPlan) {
 
   // Both colliding keys can be cached side by side and still resolve to
   // their own plans.
-  const CachedPlan plan_b = MakeMarkerPlan(222.0);
-  cache.Insert(b, {{"T", 1.0}}, plan_b.arena, plan_b.best);
+  const MarkerPlan plan_b = MakeMarkerPlan(222.0);
+  cache.Insert(b, plan_b.arena, plan_b.best);
   std::shared_ptr<const CachedPlan> got_a = cache.Lookup(a);
   std::shared_ptr<const CachedPlan> got_b = cache.Lookup(b);
   ASSERT_TRUE(got_a != nullptr);
   ASSERT_TRUE(got_b != nullptr);
-  EXPECT_DOUBLE_EQ(got_a->arena.node(got_a->best[0]).cardinality, 111.0);
-  EXPECT_DOUBLE_EQ(got_b->arena.node(got_b->best[0]).cardinality, 222.0);
+  EXPECT_EQ(MarkerOf(*got_a), 111.0);
+  EXPECT_EQ(MarkerOf(*got_b), 222.0);
 }
 
 // ------------------------------------------------------------------- TTL
@@ -207,9 +303,9 @@ TEST(PlanCacheTest, TtlEvictsExpiredEntries) {
   opts.clock = [&fake_now] { return fake_now; };
   PlanCache cache(opts);
 
-  const PlanCacheKey key = MakeRawKey({1});
-  const CachedPlan plan = MakeMarkerPlan(1.0);
-  cache.Insert(key, {{"T", 1.0}}, plan.arena, plan.best);
+  const PlanCacheKey key = MakeKey({{"T", 1.0}});
+  const MarkerPlan plan = MakeMarkerPlan(1.0);
+  cache.Insert(key, plan.arena, plan.best);
 
   fake_now += std::chrono::seconds(9);
   EXPECT_TRUE(cache.Lookup(key) != nullptr);
@@ -232,12 +328,12 @@ TEST(PlanCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
 
   // Insert until the budget forces evictions.
   const int kEntries = 64;
+  const auto key_of = [](int i) {
+    return MakeKey({{"T" + std::to_string(i), 1.0}});
+  };
   for (int i = 0; i < kEntries; ++i) {
-    const PlanCacheKey key = MakeRawKey({static_cast<uint8_t>(i)});
-    const CachedPlan plan = MakeMarkerPlan(static_cast<double>(i));
-    std::string name("T");
-    name += std::to_string(i);
-    cache.Insert(key, {{std::move(name), 1.0}}, plan.arena, plan.best);
+    const MarkerPlan plan = MakeMarkerPlan(static_cast<double>(i));
+    cache.Insert(key_of(i), plan.arena, plan.best);
   }
   const PlanCacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions_capacity, 0u);
@@ -245,10 +341,8 @@ TEST(PlanCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_LT(stats.entries, static_cast<uint64_t>(kEntries));
 
   // LRU order: the newest entry must have survived, the oldest must not.
-  EXPECT_TRUE(
-      cache.Lookup(MakeRawKey({static_cast<uint8_t>(kEntries - 1)}))
-           != nullptr);
-  EXPECT_FALSE(cache.Lookup(MakeRawKey({0})) != nullptr);
+  EXPECT_TRUE(cache.Lookup(key_of(kEntries - 1)) != nullptr);
+  EXPECT_FALSE(cache.Lookup(key_of(0)) != nullptr);
 }
 
 TEST(PlanCacheTest, OversizedEntryIsNotCached) {
@@ -256,9 +350,9 @@ TEST(PlanCacheTest, OversizedEntryIsNotCached) {
   opts.num_shards = 1;
   opts.capacity_bytes = 64;  // smaller than any entry's fixed overhead
   PlanCache cache(opts);
-  const PlanCacheKey key = MakeRawKey({1});
-  const CachedPlan plan = MakeMarkerPlan(1.0);
-  cache.Insert(key, {{"T", 1.0}}, plan.arena, plan.best);
+  const PlanCacheKey key = MakeKey({{"T", 1.0}});
+  const MarkerPlan plan = MakeMarkerPlan(1.0);
+  cache.Insert(key, plan.arena, plan.best);
   EXPECT_FALSE(cache.Lookup(key) != nullptr);
   EXPECT_EQ(cache.stats().inserts, 0u);
 }
@@ -268,11 +362,11 @@ TEST(PlanCacheTest, OversizedEntryIsNotCached) {
 TEST(PlanCacheTest, StatisticsEpochInvalidatesOlderEntries) {
   PlanCacheOptions opts;
   PlanCache cache(opts);
-  const PlanCacheKey k1 = MakeRawKey({1});
-  const PlanCacheKey k2 = MakeRawKey({2});
-  const CachedPlan plan = MakeMarkerPlan(1.0);
-  cache.Insert(k1, {{"A", 10.0}}, plan.arena, plan.best);
-  cache.Insert(k2, {{"B", 20.0}}, plan.arena, plan.best);
+  const PlanCacheKey k1 = MakeKey({{"A", 10.0}});
+  const PlanCacheKey k2 = MakeKey({{"B", 20.0}});
+  const MarkerPlan plan = MakeMarkerPlan(1.0);
+  cache.Insert(k1, plan.arena, plan.best);
+  cache.Insert(k2, plan.arena, plan.best);
   EXPECT_EQ(cache.stats().entries, 2u);
 
   EXPECT_EQ(cache.statistics_epoch(), 0u);
@@ -286,7 +380,7 @@ TEST(PlanCacheTest, StatisticsEpochInvalidatesOlderEntries) {
   EXPECT_EQ(stats.entries, 0u);
 
   // Entries inserted under the new epoch serve normally.
-  cache.Insert(k1, {{"A", 12.0}}, plan.arena, plan.best);
+  cache.Insert(k1, plan.arena, plan.best);
   EXPECT_TRUE(cache.Lookup(k1) != nullptr);
 
   // A plan computed before a bump but inserted after it (the in-flight
@@ -294,36 +388,45 @@ TEST(PlanCacheTest, StatisticsEpochInvalidatesOlderEntries) {
   // it even though the insert physically happened later.
   const uint64_t before_bump = cache.statistics_epoch();
   cache.BumpStatisticsEpoch();
-  cache.Insert(k2, {{"B", 21.0}}, plan.arena, plan.best, before_bump);
+  cache.Insert(k2, plan.arena, plan.best, before_bump);
   EXPECT_FALSE(cache.Lookup(k2) != nullptr);
 }
 
 TEST(PlanCacheTest, InvalidateWhereEvictsExactlyDependentEntries) {
   PlanCacheOptions opts;
   PlanCache cache(opts);
-  const CachedPlan plan = MakeMarkerPlan(1.0);
-  // Three entries: two depend on table "R3", one does not.
-  cache.Insert(MakeRawKey({1}), {{"R1", 5.0}, {"R3", 100.0}}, plan.arena,
-               plan.best);
-  cache.Insert(MakeRawKey({2}), {{"R3", 100.0}}, plan.arena, plan.best);
-  cache.Insert(MakeRawKey({3}), {{"R7", 9.0}}, plan.arena, plan.best);
+  const MarkerPlan plan = MakeMarkerPlan(1.0);
+  // Four entries: two depend on table "R3", two do not ("R30" only
+  // shares a prefix with it).
+  const PlanCacheKey k1 = MakeKey({{"R1", 5.0}, {"R3", 100.0}});
+  const PlanCacheKey k2 = MakeKey({{"R3", 100.0}});
+  const PlanCacheKey k3 = MakeKey({{"R7", 9.0}});
+  const PlanCacheKey k4 = MakeKey({{"R30", 100.0}, {"R1", 5.0}});
+  for (const PlanCacheKey* key : {&k1, &k2, &k3, &k4}) {
+    cache.Insert(*key, plan.arena, plan.best);
+  }
 
   EXPECT_EQ(cache.InvalidateTable("R3"), 2u);
-  EXPECT_FALSE(cache.Lookup(MakeRawKey({1})) != nullptr);
-  EXPECT_FALSE(cache.Lookup(MakeRawKey({2})) != nullptr);
-  EXPECT_TRUE(cache.Lookup(MakeRawKey({3})) != nullptr);
+  EXPECT_FALSE(cache.Lookup(k1) != nullptr);
+  EXPECT_FALSE(cache.Lookup(k2) != nullptr);
+  EXPECT_TRUE(cache.Lookup(k3) != nullptr);
+  EXPECT_TRUE(cache.Lookup(k4) != nullptr);
   EXPECT_EQ(cache.stats().evictions_invalidated, 2u);
 
   // Predicate form: evict entries whose cardinality for R7 changed.
-  const size_t evicted =
-      cache.InvalidateWhere([](const PlanCacheEntryView& view) {
-        for (const auto& [name, cardinality] : view.table_statistics) {
-          if (name == "R7" && cardinality != 9.0) return true;
-        }
-        return false;
-      });
-  EXPECT_EQ(evicted, 0u);  // cardinality still matches — nothing to evict
-  EXPECT_TRUE(cache.Lookup(MakeRawKey({3})) != nullptr);
+  const auto r7_changed_to_other_than = [&cache](double expected) {
+    return cache.InvalidateWhere([expected](const PlanCacheEntryView& view) {
+      return AnyKeyTable(view.key,
+                         [expected](std::string_view name, double card) {
+                           return name == "R7" && card != expected;
+                         });
+    });
+  };
+  EXPECT_EQ(r7_changed_to_other_than(9.0), 0u);  // still matches
+  EXPECT_TRUE(cache.Lookup(k3) != nullptr);
+  EXPECT_EQ(r7_changed_to_other_than(10.0), 1u);
+  EXPECT_FALSE(cache.Lookup(k3) != nullptr);
+  EXPECT_TRUE(cache.Lookup(k4) != nullptr);
 }
 
 TEST(PlanCacheServiceTest, EpochBumpForcesReoptimization) {
