@@ -11,10 +11,10 @@
 // the byte accounting easy to reason about in tests.
 //
 // Determinism contract: encoding the same value sequence always produces
-// byte-identical buffers, on every platform. The plan-cache fingerprints
-// (plancache/fingerprint.h) hash these bytes as the cache key, so any
-// nondeterminism here would silently break memoized serving;
-// tests/serialize_determinism_test.cc is the regression gate.
+// byte-identical buffers, on every platform; the regression gate is
+// tests/serialize_determinism_test.cc. The plan-cache fingerprints
+// (plancache/fingerprint.h) do not use this encoding: they have their own
+// compact canonical form with LEB128 counts.
 
 #ifndef MPQOPT_COMMON_SERIALIZE_H_
 #define MPQOPT_COMMON_SERIALIZE_H_

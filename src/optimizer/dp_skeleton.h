@@ -129,32 +129,33 @@ class DpSkeleton {
       const int64_t rank = index_.Rank(TableSet::Single(t));
       if (rank >= 0) memo_[static_cast<size_t>(rank)] = scans_.back();
     }
-    const bool linear = index_.space() == PlanSpace::kLinear;
+    // The linear and bushy split sources each get their own set loop, so
+    // the compiler lays out and inlines each hot loop on its own.
     for (int k = 2; k <= n; ++k) {
-      index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
-        Entry entry = policy_.Begin(u, estimator_.Cardinality(u));
-        const auto split = [&](TableSet left, TableSet right,
-                               const Entry& le, const Entry& re) {
-          ++stats->splits_tried;
-          policy_.Combine(left, right, le, re, &entry, &stats->plans_costed);
-        };
-        if (linear) {
-          for (int t : u) {
-            if (!index_.InnerAllowed(t, u)) continue;
-            split(u.Without(t), TableSet::Single(t),
-                  memo_[static_cast<size_t>(index_.RankWithout(u, rank, t))],
-                  scans_[t]);
-          }
-        } else {
-          index_.ForEachSplit(
-              u, [&](TableSet left, int64_t lrank, int64_t rrank) {
-                split(left, u.Minus(left), memo_[static_cast<size_t>(lrank)],
-                      memo_[static_cast<size_t>(rrank)]);
-              });
-        }
-        policy_.Finish(&entry);
-        memo_[static_cast<size_t>(rank)] = entry;
-      });
+      if (index_.space() == PlanSpace::kLinear) {
+        index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
+          FillSet(u, rank, stats, [&](const auto& split) {
+            for (int t : u) {
+              if (!index_.InnerAllowed(t, u)) continue;
+              split(u.Without(t), TableSet::Single(t),
+                    memo_[static_cast<size_t>(
+                        index_.RankWithout(u, rank, t))],
+                    scans_[t]);
+            }
+          });
+        });
+      } else {
+        index_.ForEachSetOfCard(k, [&](TableSet u, int64_t rank) {
+          FillSet(u, rank, stats, [&](const auto& split) {
+            index_.ForEachSplit(
+                u, [&](TableSet left, int64_t lrank, int64_t rrank) {
+                  split(left, u.Minus(left),
+                        memo_[static_cast<size_t>(lrank)],
+                        memo_[static_cast<size_t>(rrank)]);
+                });
+          });
+        });
+      }
     }
   }
 
@@ -187,6 +188,28 @@ class DpSkeleton {
   }
 
  private:
+  /// Fills the memo entry of admissible set `u`: Begin, Combine for every
+  /// split that for_each_split(split) passes to split(left, right, le,
+  /// re), then Finish. The counters stay in locals and reach `stats` once
+  /// per set: stats' fields could alias the memo's, so incrementing them
+  /// in place would keep them in memory.
+  template <class ForEachSplitOfU>
+  void FillSet(TableSet u, int64_t rank, DpStats* stats,
+               ForEachSplitOfU&& for_each_split) {
+    Entry entry = policy_.Begin(u, estimator_.Cardinality(u));
+    int64_t splits = 0;
+    int64_t costed = 0;
+    for_each_split([&](TableSet left, TableSet right, const Entry& le,
+                       const Entry& re) {
+      ++splits;
+      policy_.Combine(left, right, le, re, &entry, &costed);
+    });
+    policy_.Finish(&entry);
+    memo_[static_cast<size_t>(rank)] = entry;
+    stats->splits_tried += splits;
+    stats->plans_costed += costed;
+  }
+
   const PartitionIndex& index_;
   const Query& query_;
   const CardinalityEstimator estimator_;

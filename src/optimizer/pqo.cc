@@ -3,6 +3,9 @@
 #include "optimizer/pqo.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "optimizer/dp_skeleton.h"
 
@@ -17,12 +20,23 @@ AffineCost AffineMul(const AffineCost& x, const AffineCost& y) {
   return {x.constant * y.constant, x.slope * y.constant};
 }
 
-/// Candidate evaluation points: 0, 1, and midpoints between consecutive
-/// pairwise crossings inside (0, 1). Within each resulting region the
-/// argmin line is constant, so evaluating the regions' midpoints finds
-/// every line that is minimal somewhere.
-std::vector<double> RegionProbes(const std::vector<AffineCost>& lines) {
-  std::vector<double> cuts = {0.0, 1.0};
+/// Buffers the envelope computations reuse from call to call, so the DP's
+/// frequent prunes allocate nothing once the buffers have grown.
+struct EnvelopeScratch {
+  std::vector<AffineCost> lines;
+  std::vector<double> cuts;
+  std::vector<double> probes;
+  std::vector<uint8_t> marked;
+  std::vector<size_t> keep;
+};
+
+/// Candidate evaluation points, into s->probes: 0, 1, and midpoints
+/// between consecutive pairwise crossings inside (0, 1). Within each
+/// resulting region the argmin line is constant, so evaluating the
+/// regions' midpoints finds every line that is minimal somewhere.
+void RegionProbes(const std::vector<AffineCost>& lines, EnvelopeScratch* s) {
+  std::vector<double>& cuts = s->cuts;
+  cuts.assign({0.0, 1.0});
   for (size_t i = 0; i < lines.size(); ++i) {
     for (size_t j = i + 1; j < lines.size(); ++j) {
       const double denom = lines[i].slope - lines[j].slope;
@@ -32,13 +46,13 @@ std::vector<double> RegionProbes(const std::vector<AffineCost>& lines) {
     }
   }
   std::sort(cuts.begin(), cuts.end());
-  std::vector<double> probes;
+  std::vector<double>& probes = s->probes;
+  probes.clear();
   probes.push_back(0.0);
   for (size_t i = 0; i + 1 < cuts.size(); ++i) {
     probes.push_back(0.5 * (cuts[i] + cuts[i + 1]));
   }
   probes.push_back(1.0);
-  return probes;
 }
 
 size_t ArgMinAt(const std::vector<AffineCost>& lines, double theta) {
@@ -49,19 +63,34 @@ size_t ArgMinAt(const std::vector<AffineCost>& lines, double theta) {
   return best;
 }
 
+/// LowerEnvelope into s->keep.
+void LowerEnvelopeInto(const std::vector<AffineCost>& lines,
+                       EnvelopeScratch* s) {
+  s->keep.clear();
+  if (lines.empty()) return;
+  RegionProbes(lines, s);
+  s->marked.assign(lines.size(), 0);
+  for (double theta : s->probes) s->marked[ArgMinAt(lines, theta)] = 1;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (s->marked[i]) s->keep.push_back(i);
+  }
+}
+
 using PqoRef = PlanRef<AffineCost>;
 
-/// Drops plans that are nowhere minimal over [0, 1].
-void EnvelopePrune(std::vector<PqoRef>* plans) {
+/// Drops plans that are nowhere minimal over [0, 1], keeping the rest in
+/// order.
+void EnvelopePrune(std::vector<PqoRef>* plans, EnvelopeScratch* s) {
   if (plans->size() <= 1) return;
-  std::vector<AffineCost> lines;
-  lines.reserve(plans->size());
-  for (const PqoRef& p : *plans) lines.push_back(p.cost);
-  std::vector<size_t> keep = LowerEnvelope(lines);
-  std::vector<PqoRef> pruned;
-  pruned.reserve(keep.size());
-  for (size_t idx : keep) pruned.push_back((*plans)[idx]);
-  plans->swap(pruned);
+  s->lines.clear();
+  for (const PqoRef& p : *plans) s->lines.push_back(p.cost);
+  LowerEnvelopeInto(s->lines, s);
+  // keep is ascending, so compacting in place never overwrites a plan
+  // that is still to be moved.
+  for (size_t i = 0; i < s->keep.size(); ++i) {
+    (*plans)[i] = (*plans)[s->keep[i]];
+  }
+  plans->resize(s->keep.size());
 }
 
 /// PQO's memo policy for the DP skeleton (optimizer/dp_skeleton.h):
@@ -116,12 +145,12 @@ class ParametricPolicy : public FrontierMemo<AffineCost, PqoRef> {
                  .Plus(out),
              left.bits(), li, ri, JoinAlgorithm::kHashJoin});
         *plans_costed += 2;
-        if (scratch_.size() > 64) EnvelopePrune(&scratch_);
+        if (scratch_.size() > 64) EnvelopePrune(&scratch_, &envelope_);
       }
     }
   }
   void Finish(Entry* entry) {
-    EnvelopePrune(&scratch_);
+    EnvelopePrune(&scratch_, &envelope_);
     FrontierMemo::Finish(entry);
   }
 
@@ -135,6 +164,7 @@ class ParametricPolicy : public FrontierMemo<AffineCost, PqoRef> {
  private:
   const Query& query_;
   const PqoConfig& config_;
+  EnvelopeScratch envelope_;
 };
 
 /// Converts an envelope of (plan, line) pairs into interval-annotated
@@ -142,7 +172,9 @@ class ParametricPolicy : public FrontierMemo<AffineCost, PqoRef> {
 std::vector<PqoPlan> IntervalsFromEnvelope(
     const std::vector<PlanId>& plans, const std::vector<AffineCost>& lines) {
   MPQOPT_CHECK_EQ(plans.size(), lines.size());
-  std::vector<double> probes = RegionProbes(lines);
+  EnvelopeScratch scratch;
+  RegionProbes(lines, &scratch);
+  const std::vector<double>& probes = scratch.probes;
   std::vector<PqoPlan> out;
   // Region boundaries: reconstruct cut points from the probes (probes are
   // 0, midpoints, 1; the winning line changes only at cuts).
@@ -182,17 +214,9 @@ std::vector<PqoPlan> IntervalsFromEnvelope(
 }  // namespace
 
 std::vector<size_t> LowerEnvelope(const std::vector<AffineCost>& lines) {
-  std::vector<size_t> keep;
-  if (lines.empty()) return keep;
-  const std::vector<double> probes = RegionProbes(lines);
-  std::vector<bool> marked(lines.size(), false);
-  for (double theta : probes) {
-    marked[ArgMinAt(lines, theta)] = true;
-  }
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (marked[i]) keep.push_back(i);
-  }
-  return keep;
+  EnvelopeScratch scratch;
+  LowerEnvelopeInto(lines, &scratch);
+  return std::move(scratch.keep);
 }
 
 StatusOr<PqoResult> RunParametricDp(const Query& query,

@@ -28,6 +28,7 @@
 #ifndef MPQOPT_PARTITION_PARTITION_INDEX_H_
 #define MPQOPT_PARTITION_PARTITION_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -101,9 +102,69 @@ class PartitionIndex {
   /// splits left = {} and left = u. Only admissible splits are generated,
   /// never filtered (Algorithm 5, bushy variant); ranks are accumulated
   /// digit-by-digit so no Rank() call is needed in the DP's hot loop.
+  ///
+  /// The splits come in mixed-radix order over the groups' local split
+  /// lists (group 0 the slowest digit), walked without recursion: the
+  /// trailing groups' local splits are first expanded into one buffer of
+  /// at most kMaxTailSplits (left bits, rank deltas); an odometer then
+  /// walks the leading groups, and each leading prefix runs one flat
+  /// loop over the buffer.
   template <typename Fn>
   void ForEachSplit(TableSet u, Fn&& fn) const {
-    SplitRec(0, u, TableSet::Empty(), 0, 0, fn);
+    // Trailing groups [lead, G), expanded back to front: prepending group
+    // g makes it the slower digit of the buffer. Entry i * n + j of the
+    // new buffer is local split i of g plus old entry j; writing i in
+    // descending order leaves every old entry intact until i = 0 adds to
+    // it in place.
+    SplitDelta tail[kMaxTailSplits];
+    tail[0] = SplitDelta();
+    size_t n = 1;
+    int lead = num_groups();
+    for (; lead > 0; --lead) {
+      const Group& g = groups_[static_cast<size_t>(lead - 1)];
+      const uint8_t pattern = LocalPattern(u, g);
+      const size_t count = g.split_count[pattern];
+      if (n * count > kMaxTailSplits) break;
+      for (size_t i = count; i-- > 0;) {
+        const SplitDelta d = LocalSplit(g, pattern, i);
+        SplitDelta* out = tail + i * n;
+        for (size_t j = 0; j < n; ++j) out[j] = tail[j].Plus(d);
+      }
+      n *= count;
+    }
+    // Leading groups [0, lead): prefix[k] sums the current local splits
+    // of groups [0, k); digit[k] is group k's position in its split list.
+    SplitDelta prefix[kMaxTables + 1];
+    uint8_t digit[kMaxTables];
+    prefix[0] = SplitDelta();
+    int k = 0;
+    for (;;) {
+      for (; k < lead; ++k) {
+        const Group& g = groups_[static_cast<size_t>(k)];
+        digit[k] = 0;
+        prefix[k + 1] = prefix[k].Plus(LocalSplit(g, LocalPattern(u, g), 0));
+      }
+      const SplitDelta& p = prefix[lead];
+      for (size_t j = 0; j < n; ++j) {
+        const TableSet left(p.left_bits | tail[j].left_bits);
+        if (left.IsEmpty() || left == u) continue;
+        fn(left, p.left_rank + tail[j].left_rank,
+           p.right_rank + tail[j].right_rank);
+      }
+      // Advance the odometer: bump the innermost leading group that has
+      // splits left, then reset the ones after it (at the top of the loop).
+      for (;;) {
+        if (k == 0) return;
+        --k;
+        const Group& g = groups_[static_cast<size_t>(k)];
+        const uint8_t pattern = LocalPattern(u, g);
+        if (++digit[k] < g.split_count[pattern]) {
+          prefix[k + 1] = prefix[k].Plus(LocalSplit(g, pattern, digit[k]));
+          ++k;
+          break;
+        }
+      }
+    }
   }
 
   /// O(1) rank update for the linear DP: rank of (u without table t),
@@ -175,25 +236,31 @@ class PartitionIndex {
     }
   }
 
-  template <typename Fn>
-  void SplitRec(size_t group_idx, TableSet u, TableSet left,
-                int64_t left_rank, int64_t right_rank, Fn&& fn) const {
-    if (group_idx == groups_.size()) {
-      if (!left.IsEmpty() && left != u) fn(left, left_rank, right_rank);
-      return;
+  /// Upper bound of ForEachSplit's trailing-split buffer.
+  static constexpr size_t kMaxTailSplits = 256;
+
+  /// One operand pair's contribution, summed over groups: the left
+  /// operand's bits and both operands' rank digits times their strides.
+  /// No member initializers, so ForEachSplit's buffers start
+  /// uninitialized; SplitDelta() is the zero delta.
+  struct SplitDelta {
+    uint64_t left_bits;
+    int64_t left_rank;
+    int64_t right_rank;
+
+    SplitDelta Plus(const SplitDelta& o) const {
+      return {left_bits | o.left_bits, left_rank + o.left_rank,
+              right_rank + o.right_rank};
     }
-    const Group& g = groups_[group_idx];
-    const uint8_t pattern = LocalPattern(u, g);
-    const uint8_t count = g.split_count[pattern];
-    const uint8_t* list = g.split_list[pattern];
-    for (uint8_t i = 0; i < count; ++i) {
-      const uint8_t l = list[i];
-      const uint8_t r = static_cast<uint8_t>(pattern & ~l);
-      const TableSet bits(static_cast<uint64_t>(l) << g.offset);
-      SplitRec(group_idx + 1, u, left.Union(bits),
-               left_rank + g.digit_of_pattern[l] * g.stride,
-               right_rank + g.digit_of_pattern[r] * g.stride, fn);
-    }
+  };
+
+  /// Local split `i` of `pattern` in group `g`, as a SplitDelta.
+  static SplitDelta LocalSplit(const Group& g, uint8_t pattern, size_t i) {
+    const uint8_t l = g.split_list[pattern][i];
+    const uint8_t r = static_cast<uint8_t>(pattern & ~l);
+    return {static_cast<uint64_t>(l) << g.offset,
+            g.digit_of_pattern[l] * g.stride,
+            g.digit_of_pattern[r] * g.stride};
   }
 
   struct GroupOfTable {

@@ -3,10 +3,17 @@
 // Query fingerprinting for the plan cache (see plancache/plan_cache.h).
 //
 // A fingerprint is the canonical byte encoding of everything that can
-// change which plan the optimizer returns: the query itself (tables,
-// statistics, predicates, selectivities — reusing the deterministic
-// wire serialization of catalog/query.h) plus the plan-affecting fields
-// of MpqOptions. Execution-only knobs (backend handle, thread caps, the
+// change which plan the optimizer returns: the query itself (tables with
+// their cardinalities, attribute counts and names; predicates with their
+// selectivities) plus the plan-affecting fields of MpqOptions. It has
+// its own compact canonical form, not the query's wire serialization:
+// counts, indices and name lengths are LEB128 varints; doubles that are
+// integers or reciprocals of integers (cardinalities, selectivities)
+// are varints too, other doubles raw bytes; the option enums share one
+// byte; and attribute domains are left out because the optimizer reads
+// only how many attributes a table has. Callers validate the query
+// before probing, so a query with invalid domains never reaches a valid
+// query's entry. Execution-only knobs (backend handle, thread caps, the
 // network model) are deliberately excluded — they change how fast a plan
 // is found, never which plan is found.
 //
@@ -20,6 +27,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -53,19 +61,19 @@ uint64_t HashBytes64(const uint8_t* data, size_t size, uint64_t seed);
 
 /// Builds the canonical fingerprint of one (query, options) pair.
 /// Deterministic: the same inputs produce byte-identical keys on every
-/// platform (the serialization layer guarantees this; see
-/// tests/serialize_determinism_test.cc).
+/// little-endian platform (see tests/serialize_determinism_test.cc).
 PlanCacheKey FingerprintQuery(const Query& query, const MpqOptions& options);
 
-/// Reads back the (table name, cardinality) pairs a fingerprint holds —
+/// Reads back the (table name, cardinality) pairs fingerprint bytes hold —
 /// the statistics the key's plan was costed with — and calls
 /// visit(name, cardinality) on each in table order until it returns
 /// true. Returns whether some call did. The plan cache's statistics-
 /// sensitive invalidation reads its entries' tables this way, so they
-/// are stored once, in the key. Bytes that are not a fingerprint of the
-/// current version visit nothing past the first malformed field.
+/// are stored once, in the key. Bytes of another fingerprint version
+/// visit nothing; truncated or malformed bytes visit nothing past the
+/// last whole table, and no read goes past the end.
 bool AnyKeyTable(
-    const PlanCacheKey& key,
+    std::span<const uint8_t> key_bytes,
     const std::function<bool(std::string_view name, double cardinality)>&
         visit);
 

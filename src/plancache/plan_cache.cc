@@ -3,6 +3,9 @@
 #include "plancache/plan_cache.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
+#include <type_traits>
 
 #include "obs/trace.h"
 #include "plan/plan_serde.h"
@@ -17,19 +20,56 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-/// Bytes an entry is charged for: the key (stored once, in the index,
-/// as an exact-size copy) and the plan bytes, plus their structs.
-size_t ChargeBytes(const PlanCacheKey& key, const CachedPlan& plan) {
-  size_t charge = sizeof(PlanCacheKey) + key.bytes.size();
-  charge += sizeof(CachedPlan) + plan.plan_bytes.capacity();
-  // List node, index slot and shared_ptr control block (approximate;
-  // exact malloc accounting is not worth chasing — the budget is a
-  // throttle, not a ledger).
-  charge += 128;
-  return charge;
+/// Words of an entry block's payload: the CachedPlan header, the key
+/// bytes and the plan bytes.
+size_t BlockWords(size_t key_size, size_t plan_size) {
+  return (sizeof(CachedPlan) + key_size + plan_size + sizeof(uint64_t) - 1) /
+         sizeof(uint64_t);
 }
 
+/// The control block make_shared_for_overwrite puts in front of an
+/// array, as measured with GCC 12's libstdc++ (the toolchain this
+/// repository builds with): 40 bytes.
+constexpr size_t kControlBlockBytes = 40;
+
 }  // namespace
+
+std::shared_ptr<const CachedPlan> CachedPlan::Make(
+    const PlanCacheKey& key, std::span<const uint8_t> plan_bytes) {
+  const std::span<const uint8_t> key_bytes = key.bytes;
+  static_assert(std::is_trivially_destructible_v<CachedPlan>);
+  static_assert(alignof(CachedPlan) <= alignof(uint64_t));
+  // One allocation holds the control block and the payload words, which
+  // are left uninitialized; the header is constructed in place and the
+  // bytes follow it.
+  std::shared_ptr<uint64_t[]> block =
+      std::make_shared_for_overwrite<uint64_t[]>(
+          BlockWords(key_bytes.size(), plan_bytes.size()));
+  CachedPlan* plan = new (block.get()) CachedPlan(
+      key.hash_lo, static_cast<uint32_t>(key_bytes.size()),
+      static_cast<uint32_t>(plan_bytes.size()));
+  uint8_t* bytes = reinterpret_cast<uint8_t*>(plan + 1);
+  std::memcpy(bytes, key_bytes.data(), key_bytes.size());
+  std::memcpy(bytes + key_bytes.size(), plan_bytes.data(), plan_bytes.size());
+  return std::shared_ptr<const CachedPlan>(std::move(block), plan);
+}
+
+StatusOr<std::vector<PlanId>> CachedPlan::Decode(PlanArena* arena) const {
+  ByteReader reader(plan_bytes().data(), plan_bytes().size());
+  return DeserializePlanSet(&reader, arena);
+}
+
+size_t PlanCache::ChargeBytes(const CachedPlan& plan) {
+  // The block, then the index node (its next link and the Slot) and the
+  // node's share of the bucket array, taken as one pointer. Allocator
+  // headers and rounding are not counted: the budget is a throttle, not
+  // a ledger.
+  const size_t block =
+      kControlBlockBytes +
+      BlockWords(plan.key_bytes().size(), plan.plan_bytes().size()) *
+          sizeof(uint64_t);
+  return block + sizeof(void*) + sizeof(Slot) + sizeof(void*);
+}
 
 PlanCache::PlanCache(PlanCacheOptions options)
     : options_(std::move(options)),
@@ -43,10 +83,22 @@ std::chrono::steady_clock::time_point PlanCache::Now() const {
   return options_.clock ? options_.clock() : std::chrono::steady_clock::now();
 }
 
+void PlanCache::Unlink(Shard* shard, const Slot& slot) {
+  (slot.newer != nullptr ? slot.newer->older : shard->newest) = slot.older;
+  (slot.older != nullptr ? slot.older->newer : shard->oldest) = slot.newer;
+}
+
+void PlanCache::PushNewest(Shard* shard, const Slot& slot) {
+  slot.newer = nullptr;
+  slot.older = shard->newest;
+  (shard->newest != nullptr ? shard->newest->newer : shard->oldest) = &slot;
+  shard->newest = &slot;
+}
+
 PlanCache::Index::iterator PlanCache::EraseLocked(Shard* shard,
                                                   Index::iterator it) {
-  shard->bytes -= it->second->second.charge;
-  shard->lru.erase(it->second);
+  shard->bytes -= ChargeBytes(*it->plan);
+  Unlink(shard, *it);
   return shard->index.erase(it);
 }
 
@@ -60,27 +112,22 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(const PlanCacheKey& key,
     if (count_miss) ++shard.stats.misses;
     return nullptr;
   }
-  Entry& entry = it->second->second;
-  if (entry.statistics_epoch != epoch_.load(std::memory_order_acquire)) {
+  if (it->statistics_epoch != epoch_.load(std::memory_order_acquire)) {
     ++shard.stats.evictions_invalidated;
     EraseLocked(&shard, it);
     if (count_miss) ++shard.stats.misses;
     return nullptr;
   }
-  if (entry.expires && Now() >= entry.expires_at) {
+  if (options_.ttl_seconds > 0 && Now() >= it->expires_at) {
     ++shard.stats.evictions_ttl;
     EraseLocked(&shard, it);
     if (count_miss) ++shard.stats.misses;
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  Unlink(&shard, *it);
+  PushNewest(&shard, *it);
   ++shard.stats.hits;
-  return entry.plan;  // ref-count bump only — no plan copy under the lock
-}
-
-StatusOr<std::vector<PlanId>> CachedPlan::Decode(PlanArena* arena) const {
-  ByteReader reader(plan_bytes);
-  return DeserializePlanSet(&reader, arena);
+  return it->plan;  // ref-count bump only — no plan copy under the lock
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::Insert(
@@ -89,26 +136,24 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   obs::Span insert_span("cache.insert");
   // Serialize only the winning subtrees: the source arena holds every
   // plan all m workers returned.
-  auto plan = std::make_shared<CachedPlan>();
-  ByteWriter writer(&plan->plan_bytes);
+  ByteWriter writer;
   SerializePlanSet(arena, best, &writer);
-  plan->plan_bytes.shrink_to_fit();
-  Entry entry;
-  entry.plan = plan;
+  Slot slot;
+  slot.plan = CachedPlan::Make(key, writer.buffer());
   // An entry stamped with a pre-bump epoch is born stale: the next probe
   // evicts it, so an epoch bump fences even in-flight computations.
-  entry.statistics_epoch = computed_at_epoch == kCurrentEpoch
-                               ? epoch_.load(std::memory_order_acquire)
-                               : computed_at_epoch;
+  slot.statistics_epoch = computed_at_epoch == kCurrentEpoch
+                              ? epoch_.load(std::memory_order_acquire)
+                              : computed_at_epoch;
+  slot.expires_at = std::chrono::steady_clock::time_point::max();
   if (options_.ttl_seconds > 0) {
-    entry.expires = true;
-    entry.expires_at =
+    slot.expires_at =
         Now() + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(options_.ttl_seconds));
   }
-  entry.charge = ChargeBytes(key, *plan);
-  if (entry.charge > per_shard_capacity_) {
-    return plan;  // caching it would evict a whole shard — hand back only
+  const size_t charge = ChargeBytes(*slot.plan);
+  if (charge > per_shard_capacity_) {
+    return slot.plan;  // caching it would evict a whole shard — hand back only
   }
 
   Shard& shard = ShardFor(key);
@@ -119,22 +164,21 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
     // Replace in place (not an eviction): same fingerprint, fresh plan.
     EraseLocked(&shard, existing);
   }
-  while (shard.bytes + entry.charge > per_shard_capacity_ &&
-         !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back().second;
-    if (victim.expires && now >= victim.expires_at) {
+  while (shard.bytes + charge > per_shard_capacity_ &&
+         shard.oldest != nullptr) {
+    const Slot& victim = *shard.oldest;
+    if (now >= victim.expires_at) {
       ++shard.stats.evictions_ttl;
     } else {
       ++shard.stats.evictions_capacity;
     }
-    EraseLocked(&shard, shard.index.find(*shard.lru.back().first));
+    EraseLocked(&shard, shard.index.find(victim));
   }
-  auto [slot, inserted] =
-      shard.index.emplace(key, shard.lru.end());
+  const std::shared_ptr<const CachedPlan> plan = slot.plan;
+  const auto [it, inserted] = shard.index.insert(std::move(slot));
   MPQOPT_CHECK(inserted);
-  shard.lru.emplace_front(&slot->first, std::move(entry));
-  slot->second = shard.lru.begin();
-  shard.bytes += shard.lru.front().second.charge;
+  PushNewest(&shard, *it);
+  shard.bytes += charge;
   ++shard.stats.inserts;
   return plan;
 }
@@ -148,7 +192,7 @@ void PlanCache::BumpStatisticsEpoch() {
          it != shard.index.end();) {
       // Strictly-older only: when two bumps race, the slower sweep must
       // not evict entries already inserted under the newer epoch.
-      if (it->second->second.statistics_epoch < new_epoch) {
+      if (it->statistics_epoch < new_epoch) {
         ++shard.stats.evictions_invalidated;
         it = EraseLocked(&shard, it);
       } else {
@@ -165,9 +209,9 @@ size_t PlanCache::InvalidateWhere(
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (Index::iterator it = shard.index.begin();
          it != shard.index.end();) {
-      const Entry& entry = it->second->second;
-      const PlanCacheEntryView view{it->first, entry.statistics_epoch,
-                                    entry.charge};
+      const PlanCacheEntryView view{it->plan->key_bytes(),
+                                    it->statistics_epoch,
+                                    ChargeBytes(*it->plan)};
       if (predicate(view)) {
         ++shard.stats.evictions_invalidated;
         it = EraseLocked(&shard, it);
@@ -193,8 +237,9 @@ void PlanCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.stats.evictions_invalidated += shard.index.size();
-    shard.lru.clear();
     shard.index.clear();
+    shard.newest = nullptr;
+    shard.oldest = nullptr;
     shard.bytes = 0;
   }
 }

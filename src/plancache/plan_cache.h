@@ -10,12 +10,13 @@
 //    hash; each shard has its own mutex, LRU list, and byte budget
 //    (capacity_bytes / num_shards), so concurrent servers on different
 //    fingerprints never contend on one lock.
-//  * Compact entries. An entry holds its key and the winning plans as
+//  * Compact entries. An entry is two heap blocks: one holds the
+//    shared_ptr control block, the key bytes and the winning plans as
 //    SerializePlanSet bytes (about a third of a PlanArena's footprint);
-//    a hit decodes them. Nothing else is stored per entry.
-//  * Byte-budget capacity. An entry is charged for its key bytes and its
-//    plan bytes; inserting past the shard budget evicts from the LRU
-//    tail.
+//    the other is the index node, which carries the entry's LRU links
+//    and bookkeeping. A hit decodes the plan bytes.
+//  * Byte-budget capacity. An entry is charged for both blocks;
+//    inserting past the shard budget evicts from the LRU tail.
 //  * TTL. Entries expire ttl_seconds after insertion (0 = never); expiry
 //    is detected on probe and on insert-time eviction scans.
 //  * Statistics-sensitive invalidation. Every entry records the
@@ -36,16 +37,18 @@
 #ifndef MPQOPT_PLANCACHE_PLAN_CACHE_H_
 #define MPQOPT_PLANCACHE_PLAN_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -71,12 +74,37 @@ struct PlanCacheOptions {
 };
 
 /// The cached value: the optimal plan (kTime) or merged Pareto frontier
-/// (kTimeAndBuffer), as SerializePlanSet bytes.
-struct CachedPlan {
-  std::vector<uint8_t> plan_bytes;
+/// (kTimeAndBuffer) as SerializePlanSet bytes, stored after the entry's
+/// key bytes in the same heap block as this header (see Make).
+class CachedPlan {
+ public:
+  /// The fingerprint bytes the entry is keyed on.
+  std::span<const uint8_t> key_bytes() const { return {bytes(), key_size_}; }
+  /// The plans, as SerializePlanSet bytes.
+  std::span<const uint8_t> plan_bytes() const {
+    return {bytes() + key_size_, plan_size_};
+  }
 
   /// Materializes the plans into `arena`; returns their ids in order.
   StatusOr<std::vector<PlanId>> Decode(PlanArena* arena) const;
+
+ private:
+  friend class PlanCache;
+
+  /// Builds the block of one entry: `key`'s hash_lo and a copy of its
+  /// bytes and of `plan_bytes` (SerializePlanSet bytes) behind this
+  /// header.
+  static std::shared_ptr<const CachedPlan> Make(
+      const PlanCacheKey& key, std::span<const uint8_t> plan_bytes);
+  CachedPlan(uint64_t key_hash, uint32_t key_size, uint32_t plan_size)
+      : key_hash_(key_hash), key_size_(key_size), plan_size_(plan_size) {}
+  const uint8_t* bytes() const {
+    return reinterpret_cast<const uint8_t*>(this + 1);
+  }
+
+  uint64_t key_hash_;  ///< the key's hash_lo, which the cache index uses
+  uint32_t key_size_;
+  uint32_t plan_size_;
 };
 
 /// Aggregate counters across all shards (monotonic since construction,
@@ -99,9 +127,9 @@ struct PlanCacheStats {
 /// Read-only view of one entry's invalidation metadata, passed to
 /// InvalidateWhere predicates.
 struct PlanCacheEntryView {
-  /// The entry's key; AnyKeyTable reads the (table name, cardinality)
-  /// pairs the cached plan was costed with from it.
-  const PlanCacheKey& key;
+  /// The entry's key bytes; AnyKeyTable reads the (table name,
+  /// cardinality) pairs the cached plan was costed with from them.
+  std::span<const uint8_t> key;
   /// Statistics epoch the entry was inserted under.
   uint64_t statistics_epoch;
   /// Bytes charged against the shard budget.
@@ -175,32 +203,54 @@ class PlanCache {
   const PlanCacheOptions& options() const { return options_; }
 
  private:
-  struct Entry {
+  /// The index entry of one cached plan: the block holding its key and
+  /// plan bytes, its bookkeeping, and its links in the shard's LRU list
+  /// (mutable: the index's elements are const, the list order is not).
+  /// 48 bytes, so an index node (the Slot and a next link) is a 64-byte
+  /// heap chunk.
+  struct Slot {
     std::shared_ptr<const CachedPlan> plan;
+    /// time_point::max() when entries never expire.
     std::chrono::steady_clock::time_point expires_at;
-    bool expires = false;
     uint64_t statistics_epoch = 0;
-    size_t charge = 0;
+    mutable const Slot* newer = nullptr;
+    mutable const Slot* older = nullptr;
   };
+  static_assert(sizeof(Slot) == 48);
 
-  struct KeyHash {
-    size_t operator()(const PlanCacheKey& key) const {
+  // The index hashes a key by its hash_lo and compares the full key bytes
+  // (against the bytes in the entry's block), which makes hash collisions
+  // harmless. Probes look up by PlanCacheKey without building a Slot.
+  struct SlotHash {
+    using is_transparent = void;
+    size_t operator()(const Slot& slot) const noexcept {
+      return static_cast<size_t>(slot.plan->key_hash_);
+    }
+    size_t operator()(const PlanCacheKey& key) const noexcept {
       return static_cast<size_t>(key.hash_lo);
     }
   };
-
-  // The LRU list owns entry payloads (front = most recent) next to a
-  // pointer at the index's stable copy of the key; the index maps the
-  // full key to its list position. Key equality in the index is
-  // PlanCacheKey::operator== — the full-byte comparison that makes hash
-  // collisions harmless.
-  using LruList = std::list<std::pair<const PlanCacheKey*, Entry>>;
-  using Index = std::unordered_map<PlanCacheKey, LruList::iterator, KeyHash>;
+  struct SlotEq {
+    using is_transparent = void;
+    bool operator()(const Slot& a, const Slot& b) const {
+      return a.plan->key_hash_ == b.plan->key_hash_ &&
+             std::ranges::equal(a.plan->key_bytes(), b.plan->key_bytes());
+    }
+    bool operator()(const PlanCacheKey& key, const Slot& slot) const {
+      return key.hash_lo == slot.plan->key_hash_ &&
+             std::ranges::equal(key.bytes, slot.plan->key_bytes());
+    }
+    bool operator()(const Slot& slot, const PlanCacheKey& key) const {
+      return (*this)(key, slot);
+    }
+  };
+  using Index = std::unordered_set<Slot, SlotHash, SlotEq>;
 
   struct Shard {
     mutable std::mutex mutex;
-    LruList lru;
     Index index;
+    const Slot* newest = nullptr;  ///< LRU front
+    const Slot* oldest = nullptr;  ///< LRU tail, the next to evict
     size_t bytes = 0;
     PlanCacheStats stats;
   };
@@ -209,10 +259,15 @@ class PlanCache {
     return shards_[key.hash_hi & shard_mask_];
   }
   std::chrono::steady_clock::time_point Now() const;
+  /// Bytes an entry is charged against its shard's budget.
+  static size_t ChargeBytes(const CachedPlan& plan);
+  /// LRU list maintenance; caller holds the shard lock.
+  static void Unlink(Shard* shard, const Slot& slot);
+  static void PushNewest(Shard* shard, const Slot& slot);
   /// Erases the entry at `it`; caller holds the shard lock and has
   /// already attributed the eviction to a counter. Returns the next
   /// index iterator (for erase-while-iterating).
-  Index::iterator EraseLocked(Shard* shard, Index::iterator it);
+  static Index::iterator EraseLocked(Shard* shard, Index::iterator it);
 
   PlanCacheOptions options_;
   size_t shard_mask_ = 0;

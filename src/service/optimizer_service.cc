@@ -72,6 +72,10 @@ StatusOr<MpqResult> ResultFromCachedPlan(const CachedPlan& plan) {
 
 StatusOr<MpqResult> OptimizerService::OptimizeThroughCache(
     const Query& query, const MpqOptions& options, bool* cache_hit) {
+  // The key holds attribute counts, not domains: validate first, so a
+  // query that a fresh run rejects is never served a valid query's plan.
+  const Status valid = query.Validate();
+  if (!valid.ok()) return valid;
   const PlanCacheKey key = FingerprintQuery(query, options);
   // Fast path: warm hits never touch the single-flight table.
   if (std::shared_ptr<const CachedPlan> hit = cache_->Lookup(key)) {

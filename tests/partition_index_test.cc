@@ -263,6 +263,81 @@ TEST(PartitionIndexTest, CountAdmissibleSplitsExactFactor) {
   }
 }
 
+/// One emitted split: (left, left rank, right rank).
+using Split = std::tuple<uint64_t, int64_t, int64_t>;
+
+/// The recursive split enumeration ForEachSplit replaced, rebuilt from
+/// the public API: groups are the consecutive full triples (pairs for
+/// linear) followed by one single-table group per leftover table; group
+/// g's local splits are the sub-patterns l of u's local pattern in the
+/// order l = 0, (l - p) & p, ..., p, kept when l and p \ l are both
+/// admissible; group 0 is the slowest digit.
+void ReferenceSplitRec(const PartitionIndex& idx,
+                       const std::vector<std::pair<int, int>>& groups,
+                       size_t g, TableSet u, uint64_t left,
+                       std::vector<Split>* out) {
+  if (g == groups.size()) {
+    const TableSet l(left);
+    if (!l.IsEmpty() && l != u) {
+      out->emplace_back(left, idx.Rank(l), idx.Rank(u.Minus(l)));
+    }
+    return;
+  }
+  const auto [offset, width] = groups[g];
+  const uint64_t p = (u.bits() >> offset) & ((uint64_t{1} << width) - 1);
+  uint64_t l = 0;
+  while (true) {
+    if (idx.Contains(TableSet(l << offset)) &&
+        idx.Contains(TableSet((p & ~l) << offset))) {
+      ReferenceSplitRec(idx, groups, g + 1, u, left | (l << offset), out);
+    }
+    if (l == p) break;
+    l = (l - p) & p;
+  }
+}
+
+TEST(PartitionIndexTest, SplitOrderMatchesRecursiveEnumeration) {
+  // The flat walk must emit exactly the recursive enumeration's sequence:
+  // the DP breaks cost ties by split order, so any reordering can change
+  // the plans it returns.
+  std::vector<Split> expected;
+  std::vector<Split> got;
+  for (int n = 1; n <= 13; ++n) {
+    const int width = GroupWidth(PlanSpace::kBushy);
+    std::vector<std::pair<int, int>> groups;
+    for (int t = 0; t < n; t += width) {
+      if (t + width <= n) {
+        groups.emplace_back(t, width);
+      } else {
+        for (int s = t; s < n; ++s) groups.emplace_back(s, 1);
+      }
+    }
+    for (uint64_t m = 1; m <= MaxWorkers(n, PlanSpace::kBushy); m *= 2) {
+      for (uint64_t part = 0; part < m; ++part) {
+        const PartitionIndex idx(n, Constraints(n, PlanSpace::kBushy, part, m));
+        int64_t total = 0;
+        for (int k = 2; k <= n; ++k) {
+          idx.ForEachSetOfCard(k, [&](TableSet u, int64_t) {
+            expected.clear();
+            got.clear();
+            ReferenceSplitRec(idx, groups, 0, u, 0, &expected);
+            idx.ForEachSplit(u, [&](TableSet left, int64_t lrank,
+                                    int64_t rrank) {
+              got.emplace_back(left.bits(), lrank, rrank);
+            });
+            total += static_cast<int64_t>(got.size());
+            ASSERT_EQ(got, expected) << "n=" << n << " m=" << m
+                                     << " part=" << part << " u="
+                                     << u.ToString();
+          });
+        }
+        EXPECT_EQ(total, idx.CountAdmissibleSplits())
+            << "n=" << n << " m=" << m << " part=" << part;
+      }
+    }
+  }
+}
+
 /// Skew-freeness: all partitions of one decomposition have identical
 /// admissible-set counts and identical per-cardinality histograms.
 class SkewTest

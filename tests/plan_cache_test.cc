@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <string>
 #include <thread>
 
 #include "catalog/generator.h"
@@ -73,7 +76,7 @@ PlanCacheKey MakeKey(
 std::vector<std::pair<std::string, double>> KeyTables(
     const PlanCacheKey& key) {
   std::vector<std::pair<std::string, double>> tables;
-  AnyKeyTable(key, [&tables](std::string_view name, double cardinality) {
+  AnyKeyTable(key.bytes, [&tables](std::string_view name, double cardinality) {
     tables.emplace_back(std::string(name), cardinality);
     return false;
   });
@@ -147,24 +150,100 @@ TEST(FingerprintTest, KeyTablesReadBackTheQueryStatistics) {
 
   // The visit stops at the first table it accepts.
   int visited = 0;
-  EXPECT_TRUE(AnyKeyTable(key, [&](std::string_view name, double) {
+  EXPECT_TRUE(AnyKeyTable(key.bytes, [&](std::string_view name, double) {
     ++visited;
     return name == expected[2].first;
   }));
   EXPECT_EQ(visited, 3);
-  EXPECT_FALSE(AnyKeyTable(key, [](std::string_view, double) {
+  EXPECT_FALSE(AnyKeyTable(key.bytes, [](std::string_view, double) {
     return false;
   }));
 
-  // Truncated keys and foreign bytes never read past the end.
+  // A truncated key visits a prefix of the tables and never reads past
+  // its end: each cut is copied to an exact-size buffer, so a sanitizer
+  // build flags any overread.
   for (size_t size = 0; size < key.bytes.size(); ++size) {
-    PlanCacheKey cut = key;
-    cut.bytes.resize(size);
-    EXPECT_LE(KeyTables(cut).size(), expected.size());
+    PlanCacheKey cut;
+    cut.bytes.assign(key.bytes.begin(),
+                     key.bytes.begin() + static_cast<ptrdiff_t>(size));
+    const auto tables = KeyTables(cut);
+    ASSERT_LE(tables.size(), expected.size());
+    EXPECT_TRUE(std::equal(tables.begin(), tables.end(), expected.begin()))
+        << size;
   }
-  PlanCacheKey foreign = key;
-  foreign.bytes[0] ^= 0xff;  // another fingerprint version
-  EXPECT_TRUE(KeyTables(foreign).empty());
+  // Keys of another fingerprint version, including version 1 (the
+  // query's wire serialization), visit nothing.
+  for (uint8_t version : {0, 1, 3, 0xff}) {
+    PlanCacheKey foreign = key;
+    foreign.bytes[0] = version;
+    EXPECT_TRUE(KeyTables(foreign).empty()) << int{version};
+  }
+  // A varint that never terminates is rejected at the end of the bytes.
+  PlanCacheKey unterminated;
+  unterminated.bytes.assign(16, 0x80);
+  unterminated.bytes[0] = key.bytes[0];
+  EXPECT_TRUE(KeyTables(unterminated).empty());
+}
+
+TEST(FingerprintTest, KeyHoldsAttributeCountsNotDomains) {
+  // Two tables with two attributes each, joined on attribute 0.
+  const auto make = [](std::vector<double> domains_a,
+                       std::vector<double> domains_b, int attribute) {
+    std::vector<TableInfo> tables(2);
+    tables[0] = {1000.0, std::move(domains_a), "A"};
+    tables[1] = {50.0, std::move(domains_b), "B"};
+    return Query(std::move(tables), {{0, attribute, 1, 0, 0.01}});
+  };
+  MpqOptions opts;
+  opts.num_workers = 1;
+  const PlanCacheKey key = FingerprintQuery(make({10, 20}, {10, 5}, 0), opts);
+  // The optimizer reads only how many attributes a table has.
+  EXPECT_EQ(FingerprintQuery(make({7, 99}, {3, 1}, 0), opts), key);
+  // A different count, or a predicate on another attribute, is another key.
+  EXPECT_NE(FingerprintQuery(make({10, 20, 30}, {10, 5}, 0), opts), key);
+  EXPECT_NE(FingerprintQuery(make({10, 20}, {10}, 0), opts), key);
+  EXPECT_NE(FingerprintQuery(make({10, 20}, {10, 5}, 1), opts), key);
+}
+
+TEST(FingerprintTest, KeyTablesReadBackLongNamesAndExactCardinalities) {
+  // A 300-byte name needs a two-byte LEB128 length. The cardinalities
+  // cover each compact double form: integers below 2^53, reciprocals of
+  // integers, and raw bytes for everything else.
+  const std::string long_name(300, 'x');
+  const std::vector<std::pair<std::string, double>> tables = {
+      {long_name, 4.0},
+      {"B", 123456789.0},
+      {"C", 0.25},
+      {"D", 1.0 / 3.0},
+      {"E", 2.5},
+      {"F", 0.1},
+      {"G", 9007199254740992.0},
+      {"H", 1e300},
+      {"I", std::nextafter(1.0 / 3.0, 1.0)}};
+  EXPECT_EQ(KeyTables(MakeKey(tables)), tables);
+}
+
+TEST(FingerprintTest, DistinctDoublesGiveDistinctKeys) {
+  // Values that compare equal or nearly so still have distinct bits, and
+  // the key keeps them apart.
+  const std::vector<std::pair<double, double>> pairs = {
+      {0.0, -0.0},
+      {1.0 / 3.0, std::nextafter(1.0 / 3.0, 1.0)},
+      {4.0, std::nextafter(4.0, 5.0)},
+      {9007199254740992.0, 9007199254740994.0}};
+  for (const auto& [a, b] : pairs) {
+    EXPECT_NE(MakeKey({{"T", a}}), MakeKey({{"T", b}})) << a << " " << b;
+  }
+}
+
+TEST(FingerprintTest, ElevenTableStarKeyIsCompact) {
+  // Integral cardinalities and 1 / domain selectivities take a few bytes
+  // each instead of eight: this key is 161 bytes (the query's wire
+  // serialization plus options was 683). The bound leaves 10% for drift.
+  MpqOptions opts;
+  opts.space = PlanSpace::kBushy;
+  opts.num_workers = 8;
+  EXPECT_LE(FingerprintQuery(MakeQuery(11, 5), opts).bytes.size(), 177u);
 }
 
 // ------------------------------------------- hit equals fresh optimization
@@ -237,8 +316,9 @@ TEST(PlanCacheServiceTest, MultiObjectiveFrontierRoundTripsThroughCache) {
 }
 
 TEST(PlanCacheServiceTest, ElevenTableBushyEntryStaysCompact) {
-  // An entry holds only its key and the plan bytes: an 11-table bushy
-  // star plan (21 nodes) is charged well under what its arena took.
+  // An entry is one block holding the key and the plan bytes, plus one
+  // index node. An 11-table bushy star entry (21 plan nodes, a 161-byte
+  // key) is charged 712 bytes; the bound leaves 5% for drift.
   const Query query = MakeQuery(11, 5);
   MpqOptions opts;
   opts.space = PlanSpace::kBushy;
@@ -255,7 +335,31 @@ TEST(PlanCacheServiceTest, ElevenTableBushyEntryStaysCompact) {
 
   const PlanCacheStats stats = service.plan_cache()->stats();
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_LT(stats.bytes_in_use, 1600u);
+  EXPECT_LE(stats.bytes_in_use, 747u);
+}
+
+TEST(PlanCacheServiceTest, InvalidQueryIsRejectedNotServedFromCache) {
+  // The key holds attribute counts, not domains, so a query that differs
+  // from a cached one only by an invalid domain has the same key. It must
+  // still be rejected, as a fresh optimization would reject it.
+  Query query = MakeQuery(6, 21);
+  MpqOptions opts;
+  opts.num_workers = 4;
+  ServiceOptions service_opts;
+  service_opts.backend_kind = BackendKind::kAsyncBatch;
+  service_opts.backend_threads = 1;
+  service_opts.enable_plan_cache = true;
+  OptimizerService service(service_opts);
+  ASSERT_TRUE(service.Optimize(query, opts).ok());
+
+  std::vector<TableInfo> tables = query.tables();
+  tables[0].attribute_domains[0] = 0.5;
+  const Query invalid(std::move(tables), query.predicates());
+  ASSERT_EQ(FingerprintQuery(invalid, opts), FingerprintQuery(query, opts));
+  StatusOr<MpqResult> result = service.Optimize(invalid, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().cache_hits, 0u);
 }
 
 // --------------------------------------------------------- collision safety
@@ -343,6 +447,41 @@ TEST(PlanCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   // LRU order: the newest entry must have survived, the oldest must not.
   EXPECT_TRUE(cache.Lookup(key_of(kEntries - 1)) != nullptr);
   EXPECT_FALSE(cache.Lookup(key_of(0)) != nullptr);
+}
+
+TEST(PlanCacheTest, EvictionFollowsRecencyOfUse) {
+  // Room for exactly three entries: every further insert evicts the
+  // least recently inserted or hit entry, and only that one.
+  const auto key_of = [](int i) {
+    return MakeKey({{"T" + std::to_string(i), 1.0}});
+  };
+  const MarkerPlan plan = MakeMarkerPlan(1.0);
+  size_t charge = 0;
+  {
+    PlanCache probe(PlanCacheOptions{});
+    probe.Insert(key_of(0), plan.arena, plan.best);
+    charge = probe.stats().bytes_in_use;
+  }
+  PlanCacheOptions opts;
+  opts.num_shards = 1;
+  opts.capacity_bytes = 3 * charge + charge / 2;
+  PlanCache cache(opts);
+  for (int i = 0; i < 3; ++i) cache.Insert(key_of(i), plan.arena, plan.best);
+  // Recency, newest first: 2 1 0. Hitting 0 and then 1 makes it 1 0 2.
+  ASSERT_TRUE(cache.Lookup(key_of(0)) != nullptr);
+  ASSERT_TRUE(cache.Lookup(key_of(1)) != nullptr);
+  cache.Insert(key_of(3), plan.arena, plan.best);  // evicts 2
+  cache.Insert(key_of(4), plan.arena, plan.best);  // evicts 0
+  // Replacing 1 moves it to the front without evicting anything.
+  cache.Insert(key_of(1), plan.arena, plan.best);
+  cache.Insert(key_of(5), plan.arena, plan.best);  // evicts 3
+  EXPECT_EQ(cache.stats().evictions_capacity, 3u);
+  for (int i : {0, 2, 3}) {
+    EXPECT_FALSE(cache.Lookup(key_of(i)) != nullptr) << i;
+  }
+  for (int i : {1, 4, 5}) EXPECT_TRUE(cache.Lookup(key_of(i)) != nullptr) << i;
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().bytes_in_use, 3 * charge);
 }
 
 TEST(PlanCacheTest, OversizedEntryIsNotCached) {
